@@ -1,37 +1,38 @@
 // Package engine is the live dataflow engine: the in-process stand-in for
 // the paper's D-CAPE cluster used by the runnable examples and the
-// cross-substrate conformance tests. Each simulated node runs a pool of
-// worker goroutines draining a shared inbox; batches of real tuples flow
-// through selection and windowed symmetric-hash join operators in the order
-// of their assigned logical plan, hopping between nodes according to the
-// robust physical plan. Join window state is hash-partitioned by join key
-// across independently locked shards, operator statistics are lock-free
-// atomics, and message/partial allocations are pooled, so throughput scales
-// with GOMAXPROCS instead of being serialized per node. A QueryMesh-style
-// router assigns each batch its plan from the latest monitored statistics —
-// the RLD runtime of §3, executed on real data.
+// cross-substrate conformance tests. Batches of real tuples flow through
+// selection and windowed symmetric-hash join operators in the order of
+// their assigned logical plan, hopping between nodes according to the
+// robust physical plan.
 //
-// Nodes have a failure lifecycle (internal/chaos): Crash kills a node's
-// worker pool and sweeps its queued work — parking it for replay or
-// destroying it, per the recovery mode — while Recover rebuilds
-// join-window state (checkpoint-restore or empty), restarts the pool, and
-// replays the parked backlog; SetSlowdown pauses part of the pool. Crashed
-// nodes report +Inf load so failure-aware policies can evacuate them.
+// The package is split into one Leader and its Transport. The Leader
+// (leader.go) is the RLD runtime of §3: a QueryMesh-style classifier-router
+// that admits batches, assigns each its plan from the latest monitored
+// statistics, queues every stage on the node hosting its operator (one
+// FIFO per node, drained by the node's consumers), and runs the failure
+// lifecycle — Crash sweeps a node's queue, parking it for replay or
+// destroying it per the recovery mode; Recover rebuilds join-window state
+// (checkpoint-restore or empty) and replays the parked backlog;
+// SetSlowdown pauses part of a node's consumers. Crashed nodes report +Inf
+// load so failure-aware policies can evacuate them.
+//
+// A Transport owns where window state lives. New runs the Leader over
+// in-process worker pools: every node shares one NodeCore whose join
+// windows are hash-partitioned across independently locked shards, with
+// lock-free statistics and pooled messages and partials, so throughput
+// scales with GOMAXPROCS. netrt runs the same Leader over worker processes
+// speaking TCP.
 package engine
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rld/internal/chaos"
 	"rld/internal/physical"
 	"rld/internal/query"
-	"rld/internal/runtime"
 	"rld/internal/stats"
 	"rld/internal/stream"
 	"rld/internal/wal"
@@ -58,9 +59,9 @@ func (f ChooserFunc) Choose(snap stats.Snapshot) query.Plan { return f(snap) }
 
 // Config tunes the engine.
 type Config struct {
-	// InboxSize is the per-node channel buffer; work beyond it spills to
-	// the node's overflow ring, so it bounds worker handoff, not total
-	// in-flight messages (sessions bound those via MaxPending).
+	// InboxSize is the unit of a session's default in-flight bound
+	// (MaxPending = InboxSize × nodes). Node queues themselves are
+	// unbounded FIFOs.
 	InboxSize int
 	// SelectThresholdScale maps operator selectivity estimates to value
 	// thresholds: a Select op passes tuples with Vals[0] <
@@ -70,8 +71,8 @@ type Config struct {
 	// keys (0 = unlimited).
 	MaxFanout int
 	// Workers is the number of worker goroutines per node draining its
-	// inbox (0 = GOMAXPROCS): concurrent batches on one node process in
-	// parallel.
+	// queue in-process (0 = GOMAXPROCS): concurrent batches on one node
+	// process in parallel.
 	Workers int
 	// Shards is the number of hash partitions of each join operator's
 	// window state, each with its own lock (0 = 16; rounded up to a
@@ -90,19 +91,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{InboxSize: 1024, SelectThresholdScale: 100, MaxFanout: 64}
 }
-
-// statsEvery is the offerStats sampling period in batches.
-const statsEvery = 8
-
-// message is one batch at one pipeline stage.
-type message struct {
-	partials []*stream.Joined
-	plan     query.Plan
-	stage    int
-	ingress  time.Time
-}
-
-var msgPool = sync.Pool{New: func() any { return new(message) }}
 
 // Results summarizes an engine run.
 type Results struct {
@@ -129,225 +117,8 @@ type Results struct {
 	Restores int
 }
 
-// resultObserver receives every non-empty sink emission: the batch's
-// surviving result tuples and its ingress wall time. Observers run on
-// worker goroutines and must copy anything they retain — the slice is
-// recycled after the call.
-type resultObserver func(tuples []*stream.Joined, ingress time.Time)
-
-// nodeState is one simulated node of the live engine: its inbox, overflow
-// ring, worker pool, and failure state. The worker pool is genuinely killed
-// on Crash (goroutines exit) and rebuilt on Recover.
-type nodeState struct {
-	inbox chan *message
-	// active gates the pool during a transient slowdown: workers with
-	// index ≥ active pause without consuming messages, shrinking the
-	// node's effective capacity.
-	active atomic.Int32
-	// ovCount mirrors the overflow ring's length so workers can skip the
-	// lock when the ring is empty (the common case).
-	ovCount atomic.Int64
-
-	mu sync.Mutex // guards the failure state and overflow ring below
-	// down marks a crashed node: its pool is dead, its queued work has
-	// been reaped (parked for replay in Checkpoint mode, dropped in
-	// LoseState), and sends park or lose directly. The down check and the
-	// enqueue happen in one critical section, so no message can slip into
-	// the inbox after Crash's sweep.
-	down bool               //rldlint:guardedby mu
-	mode chaos.RecoveryMode //rldlint:guardedby mu
-	// parked holds messages awaiting replay on recovery.
-	parked []*message //rldlint:guardedby mu
-	// overflow is the FIFO ring holding messages that did not fit the
-	// inbox: senders append at the tail, workers (and senders, after a
-	// push) flush from the head into the inbox as slots free up. Entries
-	// [ovHead:len) are live; the backing array is reset when drained.
-	// Replacing the old goroutine-per-message fallback, the ring keeps
-	// goroutine count flat under sustained overload and preserves
-	// per-stage arrival order (the logical queue is inbox followed by
-	// overflow, and nothing ever bypasses a non-empty ring).
-	overflow []*message //rldlint:guardedby mu
-	ovHead   int        //rldlint:guardedby mu
-	// slow is the current capacity factor in (0, 1].
-	slow float64 //rldlint:guardedby mu
-	// wake is closed and replaced when the node's active-worker count
-	// rises, waking workers paused by the slowdown gate.
-	wake chan struct{} //rldlint:guardedby mu
-	// quit kills the current worker pool when closed; wg tracks its
-	// membership.
-	quit chan struct{} //rldlint:guardedby mu
-	wg   sync.WaitGroup
-}
-
-// flushLocked moves overflow entries, oldest first, into the inbox while
-// there is room. Caller holds ns.mu.
-func (ns *nodeState) flushLocked() {
-	for ns.ovHead < len(ns.overflow) {
-		select {
-		case ns.inbox <- ns.overflow[ns.ovHead]:
-			ns.overflow[ns.ovHead] = nil
-			ns.ovHead++
-			ns.ovCount.Add(-1)
-		default:
-			// Inbox full again; compact a mostly-consumed ring so the
-			// backing array doesn't grow without bound across bursts.
-			if ns.ovHead > 0 && ns.ovHead*2 >= len(ns.overflow) {
-				n := copy(ns.overflow, ns.overflow[ns.ovHead:])
-				for i := n; i < len(ns.overflow); i++ {
-					ns.overflow[i] = nil
-				}
-				ns.overflow = ns.overflow[:n]
-				ns.ovHead = 0
-			}
-			return
-		}
-	}
-	ns.overflow = ns.overflow[:0]
-	ns.ovHead = 0
-}
-
-// wakeAll signals workers paused by the slowdown gate to re-check the
-// active count.
-func (ns *nodeState) wakeAll() {
-	ns.mu.Lock()
-	close(ns.wake)
-	ns.wake = make(chan struct{})
-	ns.mu.Unlock()
-}
-
-// Engine executes one continuous query across simulated nodes.
-type Engine struct {
-	q       *query.Query
-	chooser PlanChooser
-	cfg     Config
-	monitor *stats.Monitor
-
-	// assign is the live routing table (operator → node). Reads are
-	// lock-free; Migrate swaps in a cloned copy (single logical writer:
-	// the control loop).
-	assign atomic.Pointer[physical.Assignment]
-
-	nodes []*nodeState
-	// core holds every operator's window state and the stage kernels —
-	// the node-local half shared with netrt workers (see nodecore.go). In
-	// the in-process engine all nodes share this one core.
-	core *NodeCore
-
-	pending     atomic.Int64   // in-flight messages, for Drain/backpressure
-	nodeQueued  []atomic.Int64 // per-node queued+in-service messages
-	produced    atomic.Int64
-	latencyNano atomic.Int64 // summed batch ingress→sink latency
-	statBatches atomic.Int64 // offerStats rate limiter
-	lost        atomic.Int64 // partial results destroyed by faults
-	restores    atomic.Int64 // checkpoint-restores on recovery
-	crashes     atomic.Int64 // Crash calls applied
-	downCount   atomic.Int32 // nodes currently down, for the all-down check
-
-	// resultObs, when set, taps every non-empty sink emission (sessions
-	// subscribe result streams through it).
-	resultObs atomic.Pointer[resultObserver]
-
-	// snapCache is the monitor snapshot handed to the per-batch plan
-	// chooser. Monitor state changes only on Offer, so refreshing the
-	// cache after every Offer is exactly equivalent to (and far cheaper
-	// than) cloning a snapshot per Ingest. Choosers must treat it as
-	// read-only.
-	snapCache atomic.Pointer[stats.Snapshot]
-
-	// timeSource, when set, supplies monitor-offer timestamps (sessions
-	// install their virtual clock so the stats timeline matches the
-	// simulator's); nil falls back to the app-time high-water mark.
-	timeSource atomic.Pointer[func() float64]
-
-	// lastAppTs is the float64 bit pattern of the highest batch timestamp
-	// ingested so far: the bare-engine fallback clock for monitor offers.
-	// App time keeps the stats timeline on the data's own axis instead of
-	// tying it to host speed.
-	lastAppTs atomic.Uint64
-
-	// waitCh/waitMu/waiters implement the event-driven pending-count
-	// notifier: every decrement of pending broadcasts (close-and-replace
-	// of waitCh) when someone is waiting, so Drain and backpressured
-	// producers block on a channel instead of polling. The waiters gate
-	// keeps the workers' hot path at one atomic load when nobody waits.
-	waitMu  sync.Mutex
-	waitCh  chan struct{} //rldlint:guardedby waitMu
-	waiters atomic.Int32
-
-	// wlog is the exactly-once write-ahead log (nil without
-	// Config.WALDir), set once in NewEngine and immutable after — no lock
-	// guards the pointer itself. walMu orders logged inserts against
-	// checkpoint barriers: Ingest holds the read side across its
-	// append+insert pair, Checkpoint the write side across
-	// snapshot+barrier+truncate, and Recover the write side across
-	// restore+replay — so every logged insert is either covered by the
-	// snapshot before the barrier or retained after it, never split.
-	wlog  *wal.Log
-	walMu sync.RWMutex
-
-	// snapMu guards snaps, the latest Checkpoint()'s per-op window
-	// contents as columnar batches (nil until the first checkpoint).
-	snapMu sync.Mutex
-	snaps  []*stream.Batch //rldlint:guardedby snapMu
-
-	// sendMu fences Ingest against Stop: Ingest holds the read side for
-	// its whole body, and Stop takes the write side after setting the
-	// stopped flag, so no Ingest can be between its stopped-check and
-	// its send when the node channels close.
-	sendMu sync.RWMutex
-
-	// stopDone closes when shutdown fully completes, so a Stop racing
-	// another Stop returns fully-drained results.
-	stopDone chan struct{}
-
-	mu        sync.Mutex         // guards the ingest-side state below
-	ingested  int64              //rldlint:guardedby mu
-	batches   int64              //rldlint:guardedby mu
-	planUse   map[string]int64   //rldlint:guardedby mu
-	switches  int                //rldlint:guardedby mu
-	lastKey   string             //rldlint:guardedby mu
-	rateCount map[string]float64 //rldlint:guardedby mu
-	started   bool               //rldlint:guardedby mu
-	stopped   bool               //rldlint:guardedby mu
-	// plans interns each distinct plan the chooser has returned: the
-	// canonical clone plus its precomputed key, so recurring plans skip
-	// the per-batch Clone/Valid/Key allocations. Bounded by maxInterned.
-	plans []internedPlan //rldlint:guardedby mu
-}
-
-// internedPlan is one cached, validated plan and its routing key.
-type internedPlan struct {
-	plan query.Plan
-	key  string
-}
-
-// maxInterned caps the plan cache; a chooser cycling through more distinct
-// plans than this falls back to the uncached path.
-const maxInterned = 1024
-
-// internPlan returns the canonical copy and key of plan, validating and
-// caching it on first sight. ok is false for an invalid plan.
-func (e *Engine) internPlan(plan query.Plan) (internedPlan, bool) {
-	e.mu.Lock()
-	for i := range e.plans {
-		if e.plans[i].plan.Equal(plan) {
-			ip := e.plans[i]
-			e.mu.Unlock()
-			return ip, true
-		}
-	}
-	e.mu.Unlock()
-	if plan == nil || !plan.Valid(e.q) {
-		return internedPlan{}, false
-	}
-	ip := internedPlan{plan: plan.Clone(), key: plan.Key()}
-	e.mu.Lock()
-	if len(e.plans) < maxInterned {
-		e.plans = append(e.plans, ip)
-	}
-	e.mu.Unlock()
-	return ip, true
-}
+// Engine is the live engine: a Leader over in-process worker pools.
+type Engine = Leader
 
 // New builds an engine for query q with operator placement assign over
 // nNodes nodes.
@@ -356,875 +127,162 @@ func New(q *query.Query, assign physical.Assignment, nNodes int, chooser PlanCho
 	if err != nil {
 		return nil, err
 	}
-	if !assign.Complete() || len(assign) != len(q.Ops) {
-		return nil, fmt.Errorf("%w: incomplete", ErrBadPlacement)
+	t := &pools{core: core}
+	l, err := NewLeader(q, core, assign, nNodes, chooser, t)
+	if err != nil {
+		return nil, err
 	}
-	for _, n := range assign {
-		if n < 0 || n >= nNodes {
-			return nil, fmt.Errorf("%w: references node %d of %d", ErrBadPlacement, n, nNodes)
-		}
-	}
-	cfg = core.Config()
-	var wlog *wal.Log
-	if cfg.WALDir != "" {
+	if dir := core.Config().WALDir; dir != "" {
 		// Each engine incarnation logs into its own subdirectory: the
 		// process survives in-process "crashes", so the same Log instance
 		// serves the whole run and never collides with another engine
 		// sharing the parent directory.
-		dir, derr := os.MkdirTemp(cfg.WALDir, "engine-")
-		if derr != nil {
-			if mkerr := os.MkdirAll(cfg.WALDir, 0o755); mkerr != nil {
+		if t.dir, err = os.MkdirTemp(dir, "engine-"); err != nil {
+			if mkerr := os.MkdirAll(dir, 0o755); mkerr != nil {
 				return nil, fmt.Errorf("%w: %v", wal.ErrWALDir, mkerr)
 			}
-			if dir, derr = os.MkdirTemp(cfg.WALDir, "engine-"); derr != nil {
-				return nil, fmt.Errorf("%w: %v", wal.ErrWALDir, derr)
+			if t.dir, err = os.MkdirTemp(dir, "engine-"); err != nil {
+				return nil, fmt.Errorf("%w: %v", wal.ErrWALDir, err)
 			}
 		}
-		if wlog, err = wal.Open(dir); err != nil {
+		if t.wlog, err = wal.Open(t.dir); err != nil {
+			os.RemoveAll(t.dir)
 			return nil, err
 		}
 	}
-	e := &Engine{
-		q:          q,
-		chooser:    chooser,
-		cfg:        cfg,
-		core:       core,
-		wlog:       wlog,
-		monitor:    stats.NewMonitor(len(q.Ops), 0.5, 0),
-		planUse:    make(map[string]int64),
-		rateCount:  make(map[string]float64),
-		nodeQueued: make([]atomic.Int64, nNodes),
-		stopDone:   make(chan struct{}),
-		waitCh:     make(chan struct{}),
-	}
-	a := assign.Clone()
-	e.assign.Store(&a)
-	for i := 0; i < nNodes; i++ {
-		ns := &nodeState{
-			inbox: make(chan *message, cfg.InboxSize),
-			slow:  1,
-			wake:  make(chan struct{}),
-			quit:  make(chan struct{}),
-		}
-		ns.active.Store(int32(cfg.Workers))
-		e.nodes = append(e.nodes, ns)
-	}
-	e.refreshSnap()
-	return e, nil
+	return l, nil
 }
 
-// refreshSnap re-clones the monitor state into the chooser snapshot cache;
-// called after every monitor Offer (the only mutation point).
-func (e *Engine) refreshSnap() {
-	snap := e.monitor.Snapshot()
-	e.snapCache.Store(&snap)
+// pools is the in-process Transport: every node's operators live in one
+// shared NodeCore, a stage is a direct kernel call on the consumer
+// goroutine, and a node's failure is its consumers retiring.
+type pools struct {
+	core *NodeCore
+	// wlog is the exactly-once write-ahead log (nil without
+	// Config.WALDir) under dir, set once in New and immutable after — no
+	// lock guards the pointer itself. walMu orders logged inserts against
+	// checkpoint barriers: InsertWindows holds the read side across its
+	// append+insert pair, Barrier the write side across
+	// snapshot+barrier+truncate, and Respawn the write side across
+	// restore+replay — so every logged insert is either covered by the
+	// snapshot before the barrier or retained after it, never split.
+	wlog     *wal.Log
+	dir      string
+	walMu    sync.RWMutex
+	launched atomic.Bool
 }
 
-// Start launches the per-node worker pools.
-func (e *Engine) Start() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.started {
-		return
-	}
-	e.started = true
-	for i := range e.nodes {
-		e.startPool(i)
-	}
-}
+func (p *pools) Consumers() int { return p.core.cfg.Workers }
 
-// startPool spawns node i's worker pool against its current quit channel.
-func (e *Engine) startPool(i int) {
-	ns := e.nodes[i]
-	for w := 0; w < e.cfg.Workers; w++ {
-		ns.wg.Add(1)
-		go e.worker(i, w)
-	}
-}
+func (p *pools) Launch(*Leader) { p.launched.Store(true) }
 
-func (e *Engine) worker(id, idx int) {
-	ns := e.nodes[id]
-	defer ns.wg.Done()
-	// quit is fixed for this pool generation — Recover replaces it only
-	// after close+wg.Wait has retired every worker reading the old one —
-	// so one locked snapshot covers the whole loop.
-	ns.mu.Lock()
-	quit := ns.quit
-	ns.mu.Unlock()
-	for {
-		// Slowdown gate: paused workers (index ≥ active) block on the
-		// node's wake channel without consuming messages. One atomic load
-		// at full speed; the paused path sleeps until SetSlowdown or
-		// Recover raises the active count (or the pool is killed).
-		for int32(idx) >= ns.active.Load() {
-			ns.mu.Lock()
-			wake := ns.wake
-			ns.mu.Unlock()
-			if int32(idx) < ns.active.Load() {
-				break
-			}
-			select {
-			case <-quit:
-				return
-			case <-wake:
-			}
-		}
-		select {
-		case <-quit:
-			return
-		case msg := <-ns.inbox:
-			// The receive freed an inbox slot: pull overflowed work in
-			// before processing, so the ring drains in arrival order even
-			// while every worker is busy.
-			if ns.ovCount.Load() > 0 {
-				ns.mu.Lock()
-				ns.flushLocked()
-				ns.mu.Unlock()
-			}
-			e.process(msg)
-			e.nodeQueued[id].Add(-1)
-			e.pending.Add(-1)
-			e.wakePending()
-		}
-	}
-}
-
-// wakePending wakes everyone blocked in awaitPending after a pending-count
-// decrement. When nobody waits (the steady state) it is one atomic load.
-func (e *Engine) wakePending() {
-	if e.waiters.Load() == 0 {
-		return
-	}
-	e.waitMu.Lock()
-	close(e.waitCh)
-	e.waitCh = make(chan struct{})
-	e.waitMu.Unlock()
-}
-
-// AwaitPending blocks until fewer than limit messages are in flight
-// (limit ≤ 1: until fully drained), the context ends, or closed closes —
-// returning nil, ctx.Err(), or runtime.ErrClosed respectively. Wakeups are
-// edge-triggered from the worker/sweep paths via wakePending; the
-// register-then-recheck order makes the wait lose no wakeup.
-func (e *Engine) AwaitPending(ctx context.Context, limit int64, closed <-chan struct{}) error {
-	if limit < 1 {
-		limit = 1
-	}
-	for e.pending.Load() >= limit {
-		e.waiters.Add(1)
-		e.waitMu.Lock()
-		ch := e.waitCh
-		e.waitMu.Unlock()
-		if e.pending.Load() < limit {
-			e.waiters.Add(-1)
-			return nil
-		}
-		select {
-		case <-ch:
-			e.waiters.Add(-1)
-		case <-ctx.Done():
-			e.waiters.Add(-1)
-			return ctx.Err()
-		case <-closed:
-			e.waiters.Add(-1)
-			return runtime.ErrClosed
-		}
-	}
-	return nil
-}
-
-// send routes a message to the node hosting its current stage's operator.
-// A worker forwarding to its own (or any full) inbox must not block — that
-// would deadlock the pipeline — so messages that don't fit the inbox go to
-// the node's overflow ring, drained into the inbox in FIFO order by the
-// node's own workers; Drain still accounts for them via the pending
-// counter, and goroutine count stays flat under sustained overload.
-// Messages routed to a crashed node are parked for replay on recovery
-// (Checkpoint mode) or destroyed (LoseState); parked messages leave the
-// pending count so Drain does not wait out an outage. The down check and
-// the enqueue share one ns.mu critical section, so a send can never race a
-// crash into a swept inbox.
-func (e *Engine) send(msg *message) {
-	op := msg.plan[msg.stage]
-	node := (*e.assign.Load())[op]
-	ns := e.nodes[node]
-	ns.mu.Lock()
-	if ns.down {
-		if ns.mode == chaos.Checkpoint {
-			ns.parked = append(ns.parked, msg)
-			ns.mu.Unlock()
-			return
-		}
-		ns.mu.Unlock()
-		e.lose(msg)
-		return
-	}
-	e.pending.Add(1)
-	e.nodeQueued[node].Add(1)
-	if ns.ovHead == len(ns.overflow) {
-		select {
-		case ns.inbox <- msg:
-			ns.mu.Unlock()
-			return
-		default:
-		}
-	}
-	// Inbox full or ring non-empty: append behind everything queued, then
-	// flush in case a worker freed slots since the failed send — the
-	// flush-after-push closes the race that would otherwise strand the
-	// ring with idle workers.
-	ns.overflow = append(ns.overflow, msg)
-	ns.ovCount.Add(1)
-	ns.flushLocked()
-	ns.mu.Unlock()
-}
-
-// lose destroys a message routed to (or stranded on) a dead node,
-// accounting its in-flight partial results as lost tuples.
-func (e *Engine) lose(msg *message) {
-	e.lost.Add(int64(len(msg.partials)))
-	for _, p := range msg.partials {
-		p.Release()
-	}
-	putPartials(msg.partials)
-	*msg = message{}
-	msgPool.Put(msg)
-}
-
-// process executes one stage and forwards or sinks the batch. The stage
-// kernel itself lives in NodeCore (shared with netrt workers); process owns
-// only the forward-or-sink decision.
-func (e *Engine) process(msg *message) {
-	op := msg.plan[msg.stage]
-	out := e.core.runStage(op, msg.partials)
-	msg.partials = out
-
-	if len(out) == 0 || msg.stage == len(msg.plan)-1 {
-		e.sink(msg)
-		return
-	}
-	msg.stage++
-	e.send(msg)
-}
-
-func (e *Engine) sink(msg *message) {
-	e.produced.Add(int64(len(msg.partials)))
-	e.latencyNano.Add(int64(time.Since(msg.ingress))) //rldlint:allow wallclock -- batch latency is a host-side wall metric, not simulated time
-	if obs := e.resultObs.Load(); obs != nil {
-		if len(msg.partials) > 0 {
-			// Ownership of the result tuples transfers to the observer's
-			// consumer; they are never recycled.
-			(*obs)(msg.partials, msg.ingress)
-		}
-	} else {
-		for _, p := range msg.partials {
-			p.Release()
-		}
-	}
-	putPartials(msg.partials)
-	*msg = message{}
-	msgPool.Put(msg)
-}
-
-// SetResultObserver installs (or, with nil, removes) the sink tap: obs is
-// invoked on worker goroutines with every non-empty result emission and
-// must copy what it retains. Install before Start to observe every result.
-func (e *Engine) SetResultObserver(obs func(tuples []*stream.Joined, ingress time.Time)) {
-	if obs == nil {
-		e.resultObs.Store(nil)
-		return
-	}
-	o := resultObserver(obs)
-	e.resultObs.Store(&o)
-}
-
-// Ingest admits one batch of tuples from a single stream: tuples are
-// inserted into their stream's windows, statistics are sampled, the batch is
-// classified to a plan, and the pipeline begins. Ingest never blocks: a full
-// inbox spills to the node's FIFO overflow ring (see send), so callers that
-// outrun the workers must pace themselves via Drain — sessions enforce an
-// in-flight bound on top of this. Failures are typed: ErrNotStarted before
-// Start, ErrStopped after Stop, ErrNodeDown when every node is crashed, and
-// ErrInvalidPlan for a misbehaving chooser; all leave no trace, so the same
-// batch can be retried. Safe for concurrent use.
-func (e *Engine) Ingest(b *stream.Batch) error {
-	e.sendMu.RLock()
-	defer e.sendMu.RUnlock()
-	e.mu.Lock()
-	if !e.started {
-		e.mu.Unlock()
-		return ErrNotStarted
-	}
-	if e.stopped {
-		e.mu.Unlock()
-		return ErrStopped
-	}
-	e.mu.Unlock()
-	if n := len(e.nodes); int(e.downCount.Load()) >= n {
-		return fmt.Errorf("%w: all %d nodes crashed", ErrNodeDown, n)
-	}
-
-	// Classify and validate BEFORE mutating any state: a failed Ingest
-	// must leave no trace (no counters, no window inserts, no stats
-	// offers), so callers can safely retry the same batch. The snapshot
-	// cache reflects offers up to the previous batch — offers are
-	// rate-limited to every statsEvery-th batch anyway.
-	plan := e.chooser.Choose(*e.snapCache.Load())
-	ip, ok := e.internPlan(plan)
-	if !ok {
-		return fmt.Errorf("%w: chooser returned %v", ErrInvalidPlan, plan)
-	}
-	// Durable mode: log the window mutation before applying it, fsync'd
-	// (group commit coalesces concurrent producers into shared fsyncs).
-	// The read lock is held across append+insert so a checkpoint barrier
-	// can never land between a logged record and its window insert. A
-	// failed append leaves no engine state behind, so the batch can be
-	// retried. Batches whose stream feeds no join window mutate nothing
-	// durable — their loss story is the parked-replay path — and skip the
-	// log.
-	if e.wlog != nil {
-		if ops := e.core.JoinOpsFor(b.Stream); len(ops) > 0 {
-			e.walMu.RLock()
-			defer e.walMu.RUnlock()
-			err := e.wlog.Append(wal.Record{Ops: ops, Batch: b})
+// InsertWindows bulk-inserts b into the windows of the join operators over
+// its stream, one shard lock per shard per batch. In durable mode the
+// mutation is logged and fsync'd first (group commit coalesces concurrent
+// producers into shared fsyncs); a failed append leaves no state behind.
+// Batches whose stream feeds no join window mutate nothing durable and
+// skip the log.
+func (p *pools) InsertWindows(b *stream.Batch, _ physical.Assignment) error {
+	if p.wlog != nil {
+		if ops := p.core.JoinOpsFor(b.Stream); len(ops) > 0 {
+			p.walMu.RLock()
+			defer p.walMu.RUnlock()
+			err := p.wlog.Append(wal.Record{Ops: ops, Batch: b})
 			if err == nil {
-				err = e.wlog.Sync()
+				err = p.wlog.Sync()
 			}
 			if err != nil {
 				return err
 			}
 		}
 	}
-
-	e.advanceAppTime(float64(b.MaxTs()))
-	e.offerStats(false)
-
-	k := ip.key
-	n := b.Len()
-	e.mu.Lock()
-	e.ingested += int64(n)
-	e.batches++
-	e.rateCount[b.Stream] += float64(n)
-	e.planUse[k]++
-	if k != e.lastKey {
-		if e.lastKey != "" {
-			e.switches++
-		}
-		e.lastKey = k
-	}
-	e.mu.Unlock()
-
-	// Bulk-insert into the windows of join ops over this stream, one shard
-	// lock per shard per batch.
 	sc := getScratch()
-	e.core.insertStream(b, sc)
+	p.core.insertStream(b, sc)
 	putScratch(sc)
-
-	// Seed one pooled singleton partial per tuple; the columns are copied,
-	// so the caller may reuse or Release b once Ingest returns.
-	slot := e.core.schema.Slot(b.Stream)
-	partials := getPartials()
-	for i := 0; i < n; i++ {
-		j := e.core.schema.Acquire()
-		j.SetPart(slot, b.Seq[i], b.Ts[i], b.Key[i], b.Arr[i], b.ValsAt(i))
-		partials = append(partials, j)
-	}
-	msg := msgPool.Get().(*message)
-	*msg = message{
-		partials: partials,
-		// The interned canonical plan is shared across messages; the
-		// engine never mutates msg.plan.
-		plan:    ip.plan,
-		ingress: time.Now(), //rldlint:allow wallclock -- ingress stamp feeds the wall-latency metric above
-	}
-	e.send(msg)
 	return nil
 }
 
-// offerStats publishes observed per-op selectivities to the monitor. It is
-// rate-limited to every statsEvery-th batch (the slice/map building below
-// would otherwise be a per-batch allocation on the hot path); force bypasses
-// the limiter for the final sample at Stop.
-func (e *Engine) offerStats(force bool) {
-	if !force && e.statBatches.Add(1)%statsEvery != 1 {
-		return
-	}
-	sels := e.core.ObservedSels()
-	e.mu.Lock()
-	rates := make(map[string]float64, len(e.rateCount))
-	for k, v := range e.rateCount {
-		rates[k] = v
-	}
-	e.mu.Unlock()
-	// Stamp offers with the installed time source (a session's virtual
-	// clock) so the stats timeline matches the simulator's instead of
-	// diverging with host speed; the app-time high-water mark is the
-	// bare-engine fallback. Offer uses the stamp only to pace resampling,
-	// so any monotone non-decreasing clock is valid.
-	now := math.Float64frombits(e.lastAppTs.Load())
-	if fn := e.timeSource.Load(); fn != nil {
-		now = (*fn)()
-	}
-	e.monitor.Offer(now, sels, rates)
-	e.refreshSnap()
+func (p *pools) RunStage(_, op int, partials []*stream.Joined) ([]*stream.Joined, int64, int64, error) {
+	out, in, hit := p.core.runStage(op, partials)
+	return out, in, hit, nil
 }
 
-// advanceAppTime CAS-maxes the app-time high-water mark to ts. Non-positive
-// timestamps are ignored (MaxTs of an empty batch is 0; a negative float's
-// bit pattern would not order as uint64), so the bit patterns compared below
-// order the same as the floats themselves.
-func (e *Engine) advanceAppTime(ts float64) {
-	if ts <= 0 {
-		return
-	}
-	bits := math.Float64bits(ts)
-	for {
-		cur := e.lastAppTs.Load()
-		if bits <= cur || e.lastAppTs.CompareAndSwap(cur, bits) {
-			return
-		}
-	}
-}
+func (p *pools) Snapshot(_, op int) *stream.Batch { return p.core.SnapshotOp(op) }
 
-// SetTimeSource installs (or, with nil, removes) the clock used to stamp
-// monitor offers: sessions install their virtual clock so observed
-// statistics line up with the simulator's timeline. Install before Start.
-func (e *Engine) SetTimeSource(fn func() float64) {
-	if fn == nil {
-		e.timeSource.Store(nil)
-		return
-	}
-	e.timeSource.Store(&fn)
-}
+// Move is a no-op: state is shared memory, so a migration is the routing
+// swap alone, with no suspension window (DYN-style policies still account
+// their modeled downtime in reports).
+func (p *pools) Move(int, int, int, *stream.Batch) {}
 
-// controlReady rejects control operations (Migrate/Crash/Recover/
-// SetSlowdown) on a stopped engine: the worker pools are gone, and e.g. a
-// Crash would close an already-closed quit channel.
-func (e *Engine) controlReady() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.stopped {
-		return ErrStopped
-	}
-	return nil
-}
+// Kill is a no-op: the Leader retires the node's consumers.
+func (p *pools) Kill(int) {}
 
-// Pending returns the number of in-flight messages not yet sunk — the
-// quantity sessions bound for backpressure (parked messages on crashed
-// nodes are excluded, as in Drain).
-func (e *Engine) Pending() int64 { return e.pending.Load() }
-
-// Counters is a cheap live snapshot of the engine's core counters, for
-// session Stats polling without building a full Results.
-type Counters struct {
-	Ingested, Produced, Batches, TuplesLost, Pending int64
-	PlanSwitches, Crashes, Restores                  int
-}
-
-// Counters returns a live snapshot of the run's counters. Safe for
-// concurrent use; the fields are mutually consistent only to within
-// in-flight work.
-func (e *Engine) Counters() Counters {
-	c := Counters{
-		Produced:   e.produced.Load(),
-		TuplesLost: e.lost.Load(),
-		Pending:    e.pending.Load(),
-		Crashes:    int(e.crashes.Load()),
-		Restores:   int(e.restores.Load()),
+// Respawn rebuilds the node's join windows. Operators migrated away during
+// the outage kept their state (see Move). In durable mode the WAL suffix
+// past the last checkpoint replays into the restored operators: the
+// snapshot wound their windows back to the barrier, and the retained
+// records carry everything since. Records the snapshot already covers
+// re-insert as duplicates and are dropped by the per-operator dedup.
+func (p *pools) Respawn(_ int, mode chaos.RecoveryMode, ops []int, snaps []*stream.Batch) error {
+	if p.wlog != nil {
+		p.walMu.Lock()
+		defer p.walMu.Unlock()
 	}
-	e.mu.Lock()
-	c.Ingested = e.ingested
-	c.Batches = e.batches
-	c.PlanSwitches = e.switches
-	e.mu.Unlock()
-	return c
-}
-
-// Assignment returns a copy of the live routing table.
-func (e *Engine) Assignment() physical.Assignment {
-	return (*e.assign.Load()).Clone()
-}
-
-// Nodes returns the cluster size.
-func (e *Engine) Nodes() int { return len(e.nodes) }
-
-// SetChooser installs the per-batch plan chooser. It must be called before
-// Start (sessions install their policy-backed chooser between New and
-// Start); there is no synchronization against concurrent Ingest.
-func (e *Engine) SetChooser(c PlanChooser) { e.chooser = c }
-
-// Migrate reroutes one operator to another node by swapping the routing
-// table. The engine's operator state is shared memory, so the "migration"
-// is instantaneous — there is no suspension window; DYN-style policies
-// still account their modeled downtime in reports. Migrate must be called
-// from a single control goroutine.
-func (e *Engine) Migrate(op, node int) error {
-	if err := e.controlReady(); err != nil {
-		return err
-	}
-	cur := *e.assign.Load()
-	if op < 0 || op >= len(cur) {
-		return fmt.Errorf("%w: migrate op %d", ErrUnknownOp, op)
-	}
-	if node < 0 || node >= len(e.nodes) {
-		return fmt.Errorf("%w: migrate to node %d", ErrUnknownNode, node)
-	}
-	if cur[op] == node {
-		return nil
-	}
-	next := cur.Clone()
-	next[op] = node
-	e.assign.Store(&next)
-	return nil
-}
-
-// Crash takes a node down: its worker pool is killed (the goroutines
-// exit after finishing their in-flight batch — the crash boundary is the
-// inbox), and everything queued or subsequently routed to it is swept:
-// parked for replay on recovery under chaos.Checkpoint, destroyed and
-// counted as lost under chaos.LoseState. Crashing a crashed node is a
-// no-op. Crash must be called from the control goroutine (like Migrate).
-func (e *Engine) Crash(node int, mode chaos.RecoveryMode) error {
-	if err := e.controlReady(); err != nil {
-		return err
-	}
-	if node < 0 || node >= len(e.nodes) {
-		return fmt.Errorf("%w: crash node %d", ErrUnknownNode, node)
-	}
-	ns := e.nodes[node]
-	ns.mu.Lock()
-	if ns.down {
-		ns.mu.Unlock()
-		return nil
-	}
-	e.downCount.Add(1)
-	ns.down = true
-	ns.mode = mode
-	quit := ns.quit
-	ns.mu.Unlock()
-	e.crashes.Add(1)
-	close(quit)
-	ns.wg.Wait()
-	e.sweep(node)
-	return nil
-}
-
-// sweep empties a freshly crashed node's inbox and overflow ring — parking
-// the backlog for replay (Checkpoint mode) or destroying it (LoseState) —
-// and keeps the pending count honest so Drain never waits on a dead node.
-// It runs once, synchronously, after the worker pool has exited: send's
-// down check is in the same critical section as its enqueue, so nothing
-// can land in either queue afterwards.
-func (e *Engine) sweep(node int) {
-	ns := e.nodes[node]
-	ns.mu.Lock()
-	var backlog []*message
-drain:
-	for {
-		select {
-		case msg := <-ns.inbox:
-			backlog = append(backlog, msg)
-		default:
-			break drain
-		}
-	}
-	// Ring entries arrived after everything in the inbox; keep FIFO.
-	backlog = append(backlog, ns.overflow[ns.ovHead:]...)
-	ns.overflow = nil
-	ns.ovHead = 0
-	ns.ovCount.Store(0)
-	park := ns.mode == chaos.Checkpoint
-	if park {
-		ns.parked = append(ns.parked, backlog...)
-	}
-	ns.mu.Unlock()
-	for _, msg := range backlog {
-		e.nodeQueued[node].Add(-1)
-		e.pending.Add(-1)
-		if !park {
-			e.lose(msg)
-		}
-	}
-	if len(backlog) > 0 {
-		e.wakePending()
-	}
-}
-
-// Recover brings a crashed node back: the node's operators' join-window
-// state is rebuilt (restored from the last Checkpoint snapshot under
-// chaos.Checkpoint — tuples newer than the snapshot are lost — or cleared
-// under chaos.LoseState), a fresh worker pool is started, and parked
-// messages are replayed through the current routing table (so they follow
-// any migrations made during the outage). Recovering a live node is a
-// no-op.
-func (e *Engine) Recover(node int) error {
-	if err := e.controlReady(); err != nil {
-		return err
-	}
-	if node < 0 || node >= len(e.nodes) {
-		return fmt.Errorf("%w: recover node %d", ErrUnknownNode, node)
-	}
-	ns := e.nodes[node]
-	ns.mu.Lock()
-	if !ns.down {
-		ns.mu.Unlock()
-		return nil
-	}
-	mode := ns.mode
-	ns.mu.Unlock()
-	// Rebuild join-window state for the operators this node currently
-	// hosts (operators migrated away during the outage kept their state:
-	// the engine's state is shared memory, see Migrate). In durable mode
-	// the write lock freezes the log across restore+replay.
-	if e.wlog != nil {
-		e.walMu.Lock()
-	}
-	assign := *e.assign.Load()
 	restored := make(map[int]bool)
-	for op, n := range assign {
-		if n != node || e.core.ops[op].op.Kind != query.Join {
+	for _, op := range ops {
+		if mode != chaos.Checkpoint {
+			p.core.ClearOp(op)
 			continue
 		}
-		if mode == chaos.Checkpoint {
-			if e.restoreOp(op) {
-				e.restores.Add(1)
-			}
-			restored[op] = true
-		} else {
-			e.core.ClearOp(op)
+		var snap *stream.Batch
+		if snaps != nil {
+			snap = snaps[op]
 		}
+		p.core.RestoreOp(op, snap)
+		restored[op] = true
 	}
-	// Replay the WAL suffix past the last checkpoint into the restored
-	// operators: the snapshot wound their windows back to the barrier, and
-	// the retained records carry everything since. Records the snapshot
-	// already covers re-insert as duplicates and are dropped by the
-	// per-operator dedup, so the overlap is harmless.
-	if e.wlog != nil {
-		if mode == chaos.Checkpoint && len(restored) > 0 {
-			_ = e.wlog.Replay(func(r wal.Record) error {
-				for _, op := range r.Ops {
-					if restored[op] {
-						_ = e.core.Insert(op, r.Batch)
-					}
+	if p.wlog != nil && len(restored) > 0 {
+		_ = p.wlog.Replay(func(r wal.Record) error {
+			for _, op := range r.Ops {
+				if restored[op] {
+					_ = p.core.Insert(op, r.Batch)
 				}
-				return nil
-			})
-		}
-		e.walMu.Unlock()
-	}
-	// Fresh pool against a fresh quit channel, honoring any slowdown
-	// still in effect.
-	ns.mu.Lock()
-	ns.quit = make(chan struct{})
-	ns.active.Store(e.activeWorkers(ns.slow))
-	ns.mu.Unlock()
-	ns.wakeAll()
-	e.startPool(node)
-	// Flip live and take the parked backlog atomically: later sends go
-	// straight to the inbox, everything parked before the flip replays.
-	ns.mu.Lock()
-	ns.down = false
-	e.downCount.Add(-1)
-	parked := ns.parked
-	ns.parked = nil
-	ns.mu.Unlock()
-	for _, m := range parked {
-		e.send(m)
-	}
-	return nil
-}
-
-// SetSlowdown runs a node at the given capacity factor by pausing part of
-// its worker pool: factor 1 restores full speed. The granularity is one
-// worker, so a single-worker node cannot slow below full speed — size
-// Workers accordingly in slowdown experiments.
-func (e *Engine) SetSlowdown(node int, factor float64) error {
-	if err := e.controlReady(); err != nil {
-		return err
-	}
-	if node < 0 || node >= len(e.nodes) {
-		return fmt.Errorf("%w: slowdown node %d", ErrUnknownNode, node)
-	}
-	if factor <= 0 || factor > 1 {
-		factor = 1
-	}
-	ns := e.nodes[node]
-	ns.mu.Lock()
-	ns.slow = factor
-	down := ns.down
-	ns.mu.Unlock()
-	if !down {
-		ns.active.Store(e.activeWorkers(factor))
-		// Paused workers block on the wake channel; signal them to
-		// re-check the active count (a no-op broadcast when lowering).
-		ns.wakeAll()
-	}
-	return nil
-}
-
-// activeWorkers maps a capacity factor to an unpaused-worker count.
-func (e *Engine) activeWorkers(factor float64) int32 {
-	if factor >= 1 {
-		return int32(e.cfg.Workers)
-	}
-	n := int32(math.Ceil(float64(e.cfg.Workers) * factor))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Checkpoint snapshots every join operator's current window contents; the
-// latest snapshot is what Checkpoint-mode recovery restores. The executor
-// calls it on a periodic virtual-time cadence (FaultPlan.SnapshotEvery).
-func (e *Engine) Checkpoint() {
-	// Durable mode: the write lock excludes in-flight Ingests, so the
-	// snapshot, the WAL barrier, and the truncation form one atomic cut —
-	// every logged insert is either inside the snapshot (and dropped by
-	// Truncate) or after the barrier (and replayed on recovery).
-	if e.wlog != nil {
-		e.walMu.Lock()
-		defer e.walMu.Unlock()
-	}
-	snaps := make([]*stream.Batch, e.core.NumOps())
-	for i := range snaps {
-		snaps[i] = e.core.SnapshotOp(i)
-	}
-	if e.wlog != nil {
-		if err := e.wlog.Barrier(); err == nil {
-			// Only drop segments the barrier proved durable.
-			_ = e.wlog.Truncate()
-		}
-	}
-	e.snapMu.Lock()
-	e.snaps = snaps
-	e.snapMu.Unlock()
-}
-
-// restoreOp replaces an operator's window state with the latest
-// Checkpoint snapshot and reports whether one existed: with no snapshot
-// ever taken the window is cleared (equivalent to LoseState) and the
-// restore must not be counted as one.
-func (e *Engine) restoreOp(op int) bool {
-	e.snapMu.Lock()
-	taken := e.snaps != nil
-	var snap *stream.Batch
-	if taken {
-		snap = e.snaps[op]
-	}
-	e.snapMu.Unlock()
-	e.core.RestoreOp(op, snap)
-	return taken
-}
-
-// NodeLoads returns the per-node queued message counts — the live engine's
-// analogue of the simulator's queued cost-units, fed to Policy.Rebalance.
-// The unit differs from the simulator's: policies with absolute thresholds
-// calibrated in cost-units (DYNConfig.ActivationFloor) need engine-specific
-// tuning; relative imbalance factors carry over as-is. Crashed nodes
-// report the runtime.DownLoad sentinel (+Inf) so failure-aware policies
-// can evacuate their operators.
-func (e *Engine) NodeLoads() []float64 {
-	out := make([]float64, len(e.nodeQueued))
-	for i, ns := range e.nodes {
-		ns.mu.Lock()
-		down := ns.down
-		ns.mu.Unlock()
-		if down {
-			out[i] = runtime.DownLoad
-		} else {
-			out[i] = float64(e.nodeQueued[i].Load())
-		}
-	}
-	return out
-}
-
-// Drain blocks until all in-flight messages are processed. The wait is
-// event-driven: workers signal every pending-count decrement, so Drain
-// wakes as the last message sinks instead of polling.
-func (e *Engine) Drain() {
-	e.AwaitPending(context.Background(), 1, nil)
-}
-
-// Stop drains, shuts down the workers, and returns the run's results. A
-// Stop that loses the race to another Stop waits for the winner's shutdown
-// to complete, so every caller sees fully-drained results.
-func (e *Engine) Stop() Results {
-	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
-		<-e.stopDone
-		return e.results()
-	}
-	e.stopped = true
-	e.mu.Unlock()
-	// Barrier: wait out any Ingest that passed its stopped-check before
-	// the flag flipped; new Ingests are now rejected.
-	e.sendMu.Lock()
-	//lint:ignore SA2001 the empty critical section IS the barrier
-	e.sendMu.Unlock()
-	// Drain AFTER the barrier: every accounted message (including async
-	// fallback senders parked on full inboxes) is delivered and
-	// processed before the pools shut down.
-	e.Drain()
-	for _, ns := range e.nodes {
-		ns.mu.Lock()
-		down := ns.down
-		ns.mu.Unlock()
-		if down {
-			// A node still down at shutdown: its queues were swept at
-			// Crash, so only the parked backlog remains — count it as
-			// lost, there is no recovery to replay into.
-			ns.mu.Lock()
-			parked := ns.parked
-			ns.parked = nil
-			ns.mu.Unlock()
-			for _, m := range parked {
-				e.lose(m)
 			}
-		} else {
-			ns.mu.Lock()
-			quit := ns.quit
-			ns.mu.Unlock()
-			close(quit)
-		}
+			return nil
+		})
 	}
-	for _, ns := range e.nodes {
-		ns.wg.Wait()
-	}
-	// Final forced sample so results reflect the fully processed run,
-	// not the last rate-limited offer.
-	e.offerStats(true)
-	if e.wlog != nil {
-		_ = e.wlog.Close()
-	}
-	close(e.stopDone)
-	return e.results()
+	return nil
 }
 
-func (e *Engine) results() Results {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	r := Results{
-		Produced:     e.produced.Load(),
-		Ingested:     e.ingested,
-		Batches:      e.batches,
-		PlanSwitches: e.switches,
-		PlanUse:      make(map[string]int64, len(e.planUse)),
-		Crashes:      int(e.crashes.Load()),
-		TuplesLost:   e.lost.Load(),
-		Restores:     int(e.restores.Load()),
+// Barrier holds the write lock across pull and the WAL cut, so the
+// snapshot, the barrier, and the truncation form one atomic cut: every
+// logged insert is either inside the snapshot (and dropped by Truncate) or
+// after the barrier (and replayed on recovery).
+func (p *pools) Barrier(pull func() []bool) {
+	if p.wlog == nil {
+		pull()
+		return
 	}
-	for k, v := range e.planUse {
-		r.PlanUse[k] = v
+	p.walMu.Lock()
+	defer p.walMu.Unlock()
+	pull()
+	if err := p.wlog.Barrier(); err == nil {
+		// Only drop segments the barrier proved durable.
+		_ = p.wlog.Truncate()
 	}
-	if e.batches > 0 {
-		r.MeanLatencyMS = float64(e.latencyNano.Load()) / 1e6 / float64(e.batches)
-	}
-	snap := e.monitor.Snapshot()
-	r.ObservedSels = snap.Sels
-	return r
 }
 
-// Monitor exposes the engine's statistics monitor (examples print it).
-func (e *Engine) Monitor() *stats.Monitor { return e.monitor }
+// Slow is a no-op: the Leader pauses part of the node's consumers.
+func (p *pools) Slow(int, float64) {}
+
+// Close closes the WAL; a never-launched engine logged nothing, so its
+// directory goes too.
+func (p *pools) Close() {
+	if p.wlog == nil {
+		return
+	}
+	_ = p.wlog.Close()
+	if !p.launched.Load() {
+		os.RemoveAll(p.dir)
+	}
+}

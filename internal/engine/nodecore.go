@@ -13,10 +13,10 @@ import (
 
 // This file is the node-local half of the engine: operator window state and
 // the vectorized stage kernels, factored into NodeCore so the same code runs
-// both inside the in-process Engine (all nodes share one NodeCore) and
+// both inside the in-process transport (all nodes share one NodeCore) and
 // inside a netrt worker process (one NodeCore per process, holding only the
 // operators placed on that node). Everything above this layer — routing,
-// queues, failure lifecycle, statistics — is substrate-specific.
+// queues, failure lifecycle, statistics — is the Leader's.
 
 // partialsPool recycles the partial-result slices that carry batches between
 // stages; joins grow them, so pooling the backing arrays cuts most of the
@@ -372,14 +372,14 @@ func (c *NodeCore) Insert(op int, b *stream.Batch) error {
 }
 
 // runStage executes one pipeline stage of operator op over partials and
-// returns the surviving/extended partials. Ownership of the input slice and
-// its tuples transfers to the call: consumed tuples are released, and for
-// join stages the input slice itself is recycled (select stages filter in
-// place and return the input slice). Observed-selectivity counters are
-// updated as a side effect.
-func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined {
+// returns the surviving/extended partials plus the stage's selectivity
+// sample: tuples examined and passed for selections, pairs examined and
+// matches for joins. Ownership of the input slice and its tuples transfers
+// to the call: consumed tuples are released, and for join stages the input
+// slice itself is recycled (select stages filter in place and return the
+// input slice).
+func (c *NodeCore) runStage(op int, partials []*stream.Joined) (out []*stream.Joined, in, hit int64) {
 	st := c.ops[op]
-	var out []*stream.Joined
 	switch st.op.Kind {
 	case query.Select:
 		threshold := st.op.Sel * c.cfg.SelectThresholdScale
@@ -405,8 +405,7 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 		// Selections report the pass fraction over their own stream's
 		// tuples only; pass-throughs would dilute the signal the
 		// classifier needs.
-		st.in.Add(int64(ownIn))
-		st.out.Add(int64(ownOut))
+		in, hit = int64(ownIn), int64(ownOut)
 	case query.Join:
 		out = getPartials()
 		sc := getScratch()
@@ -422,7 +421,6 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 			}
 			sc.probe = append(sc.probe, int32(i))
 		}
-		var pairs, hits int64
 		if np := len(sc.probe); np > 0 {
 			// Vectorized probe: hash the whole key set up front, group
 			// probes by destination shard, and take each shard lock once
@@ -470,9 +468,13 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 			winTotal := st.winLen.Load()
 			for k, pi := range sc.probe {
 				p := partials[pi]
-				pairs += winTotal
+				// Joins report the per-pair match probability (hits
+				// over pairs examined) rather than raw fanout, so
+				// observed selectivities stay in [0,1] and remain
+				// comparable with the optimizer's estimates.
+				in += winTotal
 				n := int(sc.mcount[k])
-				hits += int64(n)
+				hit += int64(n)
 				if c.cfg.MaxFanout > 0 && n > c.cfg.MaxFanout {
 					n = c.cfg.MaxFanout
 				}
@@ -485,34 +487,40 @@ func (c *NodeCore) runStage(op int, partials []*stream.Joined) []*stream.Joined 
 			}
 		}
 		putScratch(sc)
-		// Joins report the per-pair match probability (hits over pairs
-		// examined) rather than raw fanout, so observed selectivities
-		// stay in [0,1] and remain comparable with the optimizer's
-		// estimates.
-		st.in.Add(pairs)
-		st.out.Add(hits)
 		// The join produced a fresh slice; recycle the inbound one.
 		putPartials(partials)
 	}
-	return out
+	return out, in, hit
 }
 
-// ProcessStage is the bounds-checked exported form of runStage for workers
-// deserializing operator indices off the wire.
-func (c *NodeCore) ProcessStage(op int, partials []*stream.Joined) ([]*stream.Joined, error) {
+// RunStage is the bounds-checked exported form of runStage for workers
+// deserializing operator indices off the wire: it returns the stage's
+// selectivity sample without recording it, for the leader to add with
+// AddSel.
+func (c *NodeCore) RunStage(op int, partials []*stream.Joined) (out []*stream.Joined, in, hit int64, err error) {
 	if op < 0 || op >= len(c.ops) {
-		return nil, fmt.Errorf("%w: stage op %d", ErrUnknownOp, op)
+		return nil, 0, 0, fmt.Errorf("%w: stage op %d", ErrUnknownOp, op)
 	}
-	return c.runStage(op, partials), nil
+	out, in, hit = c.runStage(op, partials)
+	return out, in, hit, nil
 }
 
-// SelCounters returns operator op's cumulative observed-selectivity
-// numerator/denominator (pairs examined and matches for joins, tuples
-// examined and passed for selections) — workers piggyback these on stage
-// replies so the leader's monitor sees the same signal the in-process
-// engine does.
-func (c *NodeCore) SelCounters(op int) (in, out int64) {
-	return c.ops[op].in.Load(), c.ops[op].out.Load()
+// ProcessStage runs one stage like RunStage and records its selectivity
+// sample in this core's observed selectivities.
+func (c *NodeCore) ProcessStage(op int, partials []*stream.Joined) ([]*stream.Joined, error) {
+	out, in, hit, err := c.RunStage(op, partials)
+	if err == nil {
+		c.AddSel(op, in, hit)
+	}
+	return out, err
+}
+
+// AddSel adds one stage's selectivity sample (see runStage) to operator
+// op's observed selectivity. The leader records every stage here, wherever
+// it ran, so a respawned or migrated operator keeps its history.
+func (c *NodeCore) AddSel(op int, in, hit int64) {
+	c.ops[op].in.Add(in)
+	c.ops[op].out.Add(hit)
 }
 
 // ObservedSels returns every operator's observed selectivity.

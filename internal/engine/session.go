@@ -9,68 +9,11 @@ import (
 	"time"
 
 	"rld/internal/chaos"
-	"rld/internal/physical"
 	"rld/internal/query"
 	"rld/internal/runtime"
 	"rld/internal/stats"
 	"rld/internal/stream"
 )
-
-// Backend is the execution substrate a Session drives: the in-process
-// Engine, or any stand-in that executes batches across a set of nodes
-// with the same failure lifecycle (netrt's multi-process Cluster). The
-// session protocol — virtual clock, control ticks, scripted faults,
-// checkpoints, backpressure, result/event delivery — is written entirely
-// against this interface, so every substrate gets it verbatim.
-type Backend interface {
-	// Start launches the backend's execution resources; SetChooser,
-	// SetTimeSource, and SetResultObserver are called before it.
-	Start()
-	// Stop drains, shuts the backend down, and reports the run. It must
-	// be idempotent in the Engine's sense: a loser of a Stop race waits
-	// for the winner and returns fully-drained results.
-	Stop() Results
-	// Ingest admits one batch (never blocking; callers pace through
-	// Pending/AwaitPending). The batch's columns are copied, so the
-	// caller may reuse it on return.
-	Ingest(b *stream.Batch) error
-	// Pending returns the in-flight message count backpressure bounds.
-	Pending() int64
-	// AwaitPending blocks until fewer than limit messages are in flight,
-	// ctx ends, or closed closes (see Engine.AwaitPending).
-	AwaitPending(ctx context.Context, limit int64, closed <-chan struct{}) error
-	// Drain blocks until all in-flight messages are processed.
-	Drain()
-	// Counters is a cheap live snapshot for Stats polling.
-	Counters() Counters
-	// Nodes returns the cluster size.
-	Nodes() int
-	// Assignment returns a copy of the live routing table.
-	Assignment() physical.Assignment
-	// NodeLoads returns per-node load (runtime.DownLoad for crashed nodes).
-	NodeLoads() []float64
-	// Migrate reroutes one operator to another node.
-	Migrate(op, node int) error
-	// Crash takes a node down under the given recovery mode; Recover
-	// brings it back. On the Engine these kill/rebuild goroutine pools;
-	// on netrt Crash is a literal SIGKILL of the worker process and
-	// Recover a respawn with checkpoint restore.
-	Crash(node int, mode chaos.RecoveryMode) error
-	Recover(node int) error
-	// SetSlowdown runs a node at the given capacity factor (1 = full).
-	SetSlowdown(node int, factor float64) error
-	// Checkpoint snapshots every join operator's window state; the latest
-	// snapshot is what Checkpoint-mode recovery restores.
-	Checkpoint()
-	// SetChooser installs the per-batch plan chooser (before Start).
-	SetChooser(c PlanChooser)
-	// SetTimeSource installs the virtual clock for stats stamping.
-	SetTimeSource(fn func() float64)
-	// SetResultObserver taps every non-empty sink emission.
-	SetResultObserver(obs func(tuples []*stream.Joined, ingress time.Time))
-}
-
-var _ Backend = (*Engine)(nil)
 
 // SessionOptions configures an engine session.
 type SessionOptions struct {
@@ -109,10 +52,10 @@ type SessionOptions struct {
 // Admission is concurrent: only the session protocol itself — clock
 // edges (ticks, faults, checkpoints), policy calls, and control ops — is
 // serialized. Producers on the fast path (no edge crossed) share a read
-// lock and run Engine.Ingest in parallel, so ingest throughput scales
+// lock and run Leader.Ingest in parallel, so ingest throughput scales
 // with producer count instead of funneling through one mutex.
 type Session struct {
-	e         Backend
+	e         *Leader
 	substrate string
 	q         *query.Query
 	opts      SessionOptions
@@ -188,30 +131,28 @@ func OpenSession(q *query.Query, nNodes int, pol runtime.Policy, opts SessionOpt
 	if err != nil {
 		return nil, err
 	}
-	return OpenSessionOn(e, q, "engine", pol, opts)
+	return OpenSessionOn(e, "engine", pol, opts)
 }
 
-// OpenSessionOn runs the full session protocol over an already-constructed
-// Backend: netrt opens its multi-process Cluster and hands it here, so the
-// wire substrate inherits the virtual clock, tick/fault/checkpoint edges,
-// backpressure, and result/event plumbing verbatim. The backend must not
-// be started; the session installs its chooser, clock, and result tap,
-// then starts it. On error the backend is left unstarted — the caller owns
-// its teardown.
-func OpenSessionOn(b Backend, q *query.Query, substrate string, pol runtime.Policy, opts SessionOptions) (*Session, error) {
-	if b == nil || q == nil {
-		return nil, fmt.Errorf("engine: session needs a backend and a query")
-	}
+// OpenSessionOn runs the full session protocol over an unstarted Leader:
+// netrt builds one over its worker processes and hands it here, so the wire
+// substrate inherits the virtual clock, tick/fault/checkpoint edges,
+// backpressure, and result/event plumbing verbatim. The session installs
+// its chooser, clock, and result tap, then starts the leader. On error the
+// leader is stopped, releasing its transport.
+func OpenSessionOn(l *Leader, substrate string, pol runtime.Policy, opts SessionOptions) (*Session, error) {
 	if pol == nil {
+		l.Stop()
 		return nil, fmt.Errorf("engine: session needs a policy")
 	}
-	if err := opts.Faults.Validate(b.Nodes()); err != nil {
+	if err := opts.Faults.Validate(l.Nodes()); err != nil {
+		l.Stop()
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	s := &Session{
-		e:          b,
+		e:          l,
 		substrate:  substrate,
-		q:          q,
+		q:          l.q,
 		opts:       opts,
 		tick:       opts.TickEvery,
 		mode:       chaos.Checkpoint,
@@ -240,11 +181,11 @@ func OpenSessionOn(b Backend, q *query.Query, substrate string, pol runtime.Poli
 		evBuf = 64
 	}
 	s.events = make(chan runtime.Event, evBuf)
-	// The chooser runs synchronously inside Backend.Ingest, possibly from
+	// The chooser runs synchronously inside Leader.Ingest, possibly from
 	// many producers at once; polMu serializes the policy call and the
 	// plan-switch tracking, honoring the Policy contract's serial-caller
 	// promise.
-	b.SetChooser(ChooserFunc(func(snap stats.Snapshot) query.Plan {
+	l.SetChooser(ChooserFunc(func(snap stats.Snapshot) query.Plan {
 		s.polMu.Lock()
 		defer s.polMu.Unlock()
 		plan := s.pol.PlanFor(s.now(), snap)
@@ -258,12 +199,12 @@ func OpenSessionOn(b Backend, q *query.Query, substrate string, pol runtime.Poli
 		}
 		return plan
 	}))
-	b.SetTimeSource(s.now)
+	l.SetTimeSource(s.now)
 	if opts.ResultBuffer > 0 {
 		s.results = make(chan runtime.ResultBatch, opts.ResultBuffer)
-		b.SetResultObserver(s.observeResult)
+		l.SetResultObserver(s.observeResult)
 	}
-	b.Start()
+	l.Start()
 	return s, nil
 }
 
@@ -398,7 +339,7 @@ func (s *Session) addOverhead() {
 
 // ingest is the admission path. Batches that stay below the next
 // tick/fault/checkpoint edge take the fast path: advance the clock with a
-// CAS-max and run Engine.Ingest (safe for concurrent use) under the read
+// CAS-max and run Leader.Ingest (safe for concurrent use) under the read
 // lock, in parallel with other producers. A batch that crosses an edge
 // takes the write lock and runs the serialized session protocol — fire due
 // faults, admit, run due control ticks — excluding all concurrent
@@ -433,7 +374,7 @@ func (s *Session) ingest(b *stream.Batch) error {
 	}
 	s.addOverhead()
 	if now >= s.nextTick {
-		// Sample queue depths BEFORE draining: Drain empties every inbox,
+		// Sample queue depths BEFORE draining: Drain empties every queue,
 		// so a post-drain sample would always show zero load and
 		// imbalance-triggered policies (DYN) could never fire. One sample
 		// covers all catch-up ticks below.

@@ -1,10 +1,9 @@
 package netrt
 
 import (
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"math"
 	"net"
 	"os"
 	"sync"
@@ -15,16 +14,13 @@ import (
 	"rld/internal/engine"
 	"rld/internal/physical"
 	"rld/internal/query"
-	"rld/internal/runtime"
-	"rld/internal/stats"
 	"rld/internal/stream"
 )
 
 // ClusterConfig tunes the leader.
 type ClusterConfig struct {
 	// Engine is the operator-state configuration shipped to every worker
-	// (threshold scale, fanout cap, shards); InboxSize doubles as the
-	// initial per-node job-queue capacity.
+	// (threshold scale, fanout cap, shards, WAL directory).
 	Engine engine.Config
 	// WorkerCommand, when non-empty, is the argv prefix used to launch
 	// worker processes (it receives -leader/-node/-epoch flags) — the
@@ -67,27 +63,14 @@ func (cfg ClusterConfig) withDefaults() ClusterConfig {
 	return cfg
 }
 
-// netMsg is one batch at one pipeline stage, held leader-side between hops.
-type netMsg struct {
-	partials []*stream.Joined
-	plan     query.Plan
-	stage    int
-	ingress  time.Time
-}
-
-// workerProc is the leader's view of one worker process: its OS process,
-// connection, job queue, and failure state.
+// workerProc is the transport's view of one worker process: its OS process
+// and connection. The Leader owns the node's queue and failure state.
 type workerProc struct {
 	node int
 
 	// callMu serializes RPC use of the connection (one request/response
 	// in flight per worker, matching the worker's single-threaded loop).
 	callMu sync.Mutex
-
-	// notify is the dispatcher's 1-buffered doorbell. The channel itself
-	// is set at construction and never replaced, so sends and receives
-	// need no lock; only the queue state it signals (jobs/head) does.
-	notify chan struct{}
 
 	mu sync.Mutex // guards everything below
 	// gen increments on every (re)spawn; stale exit/error handlers carry
@@ -96,23 +79,17 @@ type workerProc struct {
 	cmd      interface{ Kill() error }
 	procDone <-chan struct{}
 	wc       *wireConn
-	down     bool
-	mode     chaos.RecoveryMode
-	parked   []*netMsg
+	// down marks a severed worker: no connection, RPCs refuse with
+	// ErrWorkerDown until Respawn.
+	down bool
 	// unacked (durable mode only) retains the encoded frameInsert payload
 	// of every window insert the worker has not acknowledged — inserts
 	// attempted while the worker was down, or whose RPC died mid-call.
-	// Recover re-offers them on the fresh process before it goes live; the
-	// worker's insert-time dedup absorbs any that actually landed before
-	// the crash.
+	// Respawn re-offers them on the fresh process before it goes live (and
+	// drops them under LoseState); the worker's insert-time dedup absorbs
+	// any that actually landed before the crash.
 	unacked [][]byte
-	// jobs[head:] is the node's FIFO work queue — unbounded, like the
-	// engine's inbox+overflow pair collapsed into one ring, so a
-	// dispatcher forwarding to a saturated peer can never deadlock.
-	jobs []*netMsg
-	head int
-	quit chan struct{} // closes to stop the dispatcher
-	slow float64       // capacity factor in (0,1]
+	slow    float64 // capacity factor in (0,1]
 }
 
 // procKiller adapts *os.Process to the killable interface (test seam).
@@ -121,32 +98,29 @@ type procKiller struct{ p *os.Process }
 func (k procKiller) Kill() error { return k.p.Kill() }
 
 // acceptedConn is one handshaken worker connection delivered by the accept
-// loop to whoever is waiting (NewCluster's collector or Recover).
+// loop to whoever is waiting (NewCluster's collector or Respawn).
 type acceptedConn struct {
 	node int
 	wc   *wireConn
 }
 
-// Cluster is the leader: the multi-process implementation of
-// engine.Backend. Each node is a worker process owning its operators'
-// window state (an engine.NodeCore behind the wire protocol); the leader
-// owns routing, placement, classification, statistics, checkpoints, and
-// the failure lifecycle. engine.OpenSessionOn layers the full session
-// protocol — virtual clock, ticks, faults, backpressure — on top, so
-// RLD/ROD/DYN run unchanged over real processes.
+// Cluster is an engine.Leader over worker processes. Each node is a worker
+// process owning its operators' window state (an engine.NodeCore behind
+// the wire protocol); Cluster is the Leader's TCP Transport — spawn,
+// handshake, heartbeat, RPC, and re-offer of unacknowledged inserts — and
+// embeds the Leader, which owns routing, classification, statistics,
+// queues, checkpoints, and the failure lifecycle. engine.OpenSessionOn
+// layers the full session protocol on top, so RLD/ROD/DYN run unchanged
+// over real processes.
 type Cluster struct {
-	q    *query.Query
-	cfg  ClusterConfig
-	ecfg engine.Config
+	*engine.Leader
 
-	// core is leader-side operator metadata only: the join schema (and
-	// its result pool) plus validated, normalized config. Its windows are
+	q   *query.Query
+	cfg ClusterConfig
+	// core is leader-side operator metadata: the join schema (and its
+	// result pool) plus validated, normalized config. Its windows are
 	// never inserted into — all window state lives in the workers.
 	core    *engine.NodeCore
-	chooser engine.PlanChooser
-	monitor *stats.Monitor
-
-	assign  atomic.Pointer[physical.Assignment]
 	workers []*workerProc
 	epoch   uint64
 	setup   []byte // marshaled Welcome payload
@@ -154,122 +128,49 @@ type Cluster struct {
 
 	connCh    chan acceptedConn
 	earlyDead chan int
-
-	pending     atomic.Int64
-	nodeQueued  []atomic.Int64
-	produced    atomic.Int64
-	latencyNano atomic.Int64
-	statBatches atomic.Int64
-	lost        atomic.Int64
-	restores    atomic.Int64
-	crashes     atomic.Int64
-	downCount   atomic.Int32
-
-	// selIn/selOut cache each operator's cumulative observed-selectivity
-	// counters as last reported by its worker on stage replies.
-	selIn  []atomic.Int64
-	selOut []atomic.Int64
-
-	resultObs  atomic.Pointer[func(tuples []*stream.Joined, ingress time.Time)]
-	snapCache  atomic.Pointer[stats.Snapshot]
-	timeSource atomic.Pointer[func() float64]
-
-	// lastAppTs is the float64 bit pattern of the highest batch timestamp
-	// ingested so far: the fallback clock for monitor offers when no
-	// session time source is installed (see Engine.lastAppTs).
-	lastAppTs atomic.Uint64
-
-	// waitCh/waitMu/waiters: event-driven pending notifier (see
-	// Engine.AwaitPending; identical protocol).
-	waitMu  sync.Mutex
-	waitCh  chan struct{} //rldlint:guardedby waitMu
-	waiters atomic.Int32
-
-	snapMu sync.Mutex
-	snaps  []*stream.Batch //rldlint:guardedby snapMu
+	// launched flips when the Leader starts; worker exits before it fail
+	// startup instead of taking a node down.
+	launched atomic.Bool
 
 	hbQuit chan struct{}
 	hbDone chan struct{}
-
-	sendMu   sync.RWMutex
-	stopDone chan struct{}
-
-	mu        sync.Mutex
-	ingested  int64              //rldlint:guardedby mu
-	batches   int64              //rldlint:guardedby mu
-	planUse   map[string]int64   //rldlint:guardedby mu
-	switches  int                //rldlint:guardedby mu
-	lastKey   string             //rldlint:guardedby mu
-	rateCount map[string]float64 //rldlint:guardedby mu
-	started   bool               //rldlint:guardedby mu
-	stopped   bool               //rldlint:guardedby mu
-	plans     []internedPlan     //rldlint:guardedby mu
 }
 
-type internedPlan struct {
-	plan query.Plan
-	key  string
-}
-
-const maxInterned = 1024
-
-var _ engine.Backend = (*Cluster)(nil)
+var _ engine.Transport = (*Cluster)(nil)
 
 // NewCluster spawns nNodes worker processes, waits for their handshakes,
 // and returns a leader ready for engine.OpenSessionOn. On error everything
-// spawned is torn down. The cluster is not started — Start launches the
-// dispatchers and heartbeat.
+// spawned is torn down. The leader is not started — Start launches the
+// consumers and heartbeat.
 func NewCluster(q *query.Query, assign physical.Assignment, nNodes int, cfg ClusterConfig) (*Cluster, error) {
 	core, err := engine.NewNodeCore(q, cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
-	if !assign.Complete() || len(assign) != len(q.Ops) {
-		return nil, fmt.Errorf("%w: incomplete", engine.ErrBadPlacement)
-	}
-	for _, n := range assign {
-		if n < 0 || n >= nNodes {
-			return nil, fmt.Errorf("%w: references node %d of %d", engine.ErrBadPlacement, n, nNodes)
-		}
-	}
 	cfg = cfg.withDefaults()
 	c := &Cluster{
-		q:          q,
-		cfg:        cfg,
-		ecfg:       core.Config(),
-		core:       core,
-		monitor:    stats.NewMonitor(len(q.Ops), 0.5, 0),
-		epoch:      uint64(time.Now().UnixNano())<<8 | uint64(os.Getpid()&0xff), //rldlint:allow wallclock -- epoch fencing needs a host-unique monotone seed
-		connCh:     make(chan acceptedConn, nNodes),
-		earlyDead:  make(chan int, nNodes),
-		nodeQueued: make([]atomic.Int64, nNodes),
-		selIn:      make([]atomic.Int64, len(q.Ops)),
-		selOut:     make([]atomic.Int64, len(q.Ops)),
-		waitCh:     make(chan struct{}),
-		hbQuit:     make(chan struct{}),
-		hbDone:     make(chan struct{}),
-		stopDone:   make(chan struct{}),
-		planUse:    make(map[string]int64),
-		rateCount:  make(map[string]float64),
+		q:         q,
+		cfg:       cfg,
+		core:      core,
+		epoch:     uint64(time.Now().UnixNano())<<8 | uint64(os.Getpid()&0xff), //rldlint:allow wallclock -- epoch fencing needs a host-unique monotone seed
+		connCh:    make(chan acceptedConn, nNodes),
+		earlyDead: make(chan int, nNodes),
+		hbQuit:    make(chan struct{}),
+		hbDone:    make(chan struct{}),
 	}
-	c.setup, err = json.Marshal(setupMsg{Query: q, Config: c.ecfg, StageChunk: cfg.MaxStageChunk})
+	if c.Leader, err = engine.NewLeader(q, core, assign, nNodes, nil, c); err != nil {
+		return nil, err
+	}
+	c.setup, err = json.Marshal(setupMsg{Query: q, Config: core.Config(), StageChunk: cfg.MaxStageChunk})
 	if err != nil {
 		return nil, fmt.Errorf("netrt: marshal setup: %w", err)
 	}
-	a := assign.Clone()
-	c.assign.Store(&a)
-	c.refreshSnap()
 	c.ln, err = net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("netrt: listen: %w", err)
 	}
 	for i := 0; i < nNodes; i++ {
-		c.workers = append(c.workers, &workerProc{
-			node:   i,
-			slow:   1,
-			notify: make(chan struct{}, 1),
-			quit:   make(chan struct{}),
-		})
+		c.workers = append(c.workers, &workerProc{node: i, slow: 1})
 	}
 	// The accept loop starts only after the workers slice is fully built:
 	// handshakes read it unsynchronized (it is immutable once spawning
@@ -314,7 +215,7 @@ func NewCluster(q *query.Query, assign physical.Assignment, nNodes int, cfg Clus
 func (c *Cluster) Addr() string { return c.ln.Addr().String() }
 
 // spawnInto launches a fresh worker process for wp's node, bumping its
-// generation. Caller guarantees no dispatcher is running against wp.
+// generation. Caller guarantees no consumer is running against wp.
 func (c *Cluster) spawnInto(wp *workerProc) error {
 	wp.mu.Lock()
 	wp.gen++
@@ -398,43 +299,32 @@ func (c *Cluster) handshake(conn net.Conn) {
 func (c *Cluster) teardown() {
 	for _, wp := range c.workers {
 		wp.mu.Lock()
-		cmd, done, wc := wp.cmd, wp.procDone, wp.wc
+		wc := wp.wc
 		wp.mu.Unlock()
 		if wc != nil {
 			wc.Close()
 		}
-		if cmd != nil {
-			_ = cmd.Kill()
-		}
-		if done != nil {
-			<-done
-		}
+		c.reap(wp)
 	}
 	c.ln.Close()
 }
 
-// Start implements engine.Backend: launches the per-node dispatchers and
-// the heartbeat. The chooser, time source, and result observer are already
-// installed by the session.
-func (c *Cluster) Start() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.started {
-		return
+// reap kills wp's current process, if any, and waits until it is gone.
+func (c *Cluster) reap(wp *workerProc) {
+	wp.mu.Lock()
+	cmd, done := wp.cmd, wp.procDone
+	wp.mu.Unlock()
+	if cmd != nil {
+		_ = cmd.Kill()
 	}
-	c.started = true
-	for _, wp := range c.workers {
-		wp.mu.Lock()
-		quit := wp.quit
-		wp.mu.Unlock()
-		go c.dispatcher(wp, quit)
+	if done != nil {
+		<-done
 	}
-	go c.heartbeatLoop()
 }
 
 // heartbeatLoop pings every live worker on a period; a worker that cannot
 // answer (dead process, broken pipe, hung loop past the call timeout) is
-// marked down exactly as an unexpected process exit would be.
+// lost exactly as an unexpected process exit would be.
 func (c *Cluster) heartbeatLoop() {
 	defer close(c.hbDone)
 	tick := time.NewTicker(c.cfg.HeartbeatEvery)
@@ -446,247 +336,57 @@ func (c *Cluster) heartbeatLoop() {
 		case <-tick.C:
 		}
 		for _, wp := range c.workers {
-			wp.mu.Lock()
-			down := wp.down
-			wp.mu.Unlock()
-			if down {
-				continue
-			}
-			t, _, gen, err := c.call(wp, framePing, nil)
-			if err == nil && t != framePong {
-				err = fmt.Errorf("%w: want pong, got frame %d", ErrBadFrame, t)
-			}
-			if err != nil && !isDownErr(err) {
-				c.markDown(wp, gen, chaos.Checkpoint)
-			}
+			_, _ = c.callOK(wp, framePing, nil, framePong)
 		}
 	}
 }
 
-func isDownErr(err error) bool { return err == ErrWorkerDown }
+func isDownErr(err error) bool { return errors.Is(err, ErrWorkerDown) }
 
 // durable reports whether the cluster runs with exactly-once durability:
 // workers keep fsync'd local WALs and the leader retains unacknowledged
 // inserts for re-offer.
-func (c *Cluster) durable() bool { return c.ecfg.WALDir != "" }
+func (c *Cluster) durable() bool { return c.core.Config().WALDir != "" }
 
 // onWorkerExit runs when a worker process is reaped. An exit the leader
-// did not cause (no Crash, no Quit) is a real failure: the node is marked
-// down in Checkpoint mode, parking its work for a scripted or manual
-// Recover.
+// did not cause (no Crash, no Quit) is a real failure: the node is lost.
 func (c *Cluster) onWorkerExit(node int, gen uint64) {
-	c.mu.Lock()
-	started, stopped := c.started, c.stopped
-	c.mu.Unlock()
-	if stopped {
-		return
-	}
-	if !started {
+	if !c.launched.Load() {
 		select {
 		case c.earlyDead <- node:
 		default:
 		}
 		return
 	}
-	c.markDown(c.workers[node], gen, chaos.Checkpoint)
+	c.lost(c.workers[node], gen)
 }
 
-// markDown transitions a worker to the down state: kill whatever is left
-// of the process, sever the connection, stop the dispatcher, and sweep the
-// queue (parking under Checkpoint, destroying under LoseState). gen fences
-// stale failure reports: a handler that observed generation g cannot take
-// down the generation-g+1 respawn. Idempotent per generation.
-func (c *Cluster) markDown(wp *workerProc, gen uint64, mode chaos.RecoveryMode) {
+// sever cuts a worker of generation gen off: close the connection and
+// kill and reap the process. gen fences stale failure reports — a handler
+// that observed generation g cannot take down the generation-g+1 respawn.
+// It reports false when the worker was already severed or respawned.
+func (c *Cluster) sever(wp *workerProc, gen uint64) bool {
 	wp.mu.Lock()
 	if wp.down || wp.gen != gen {
 		wp.mu.Unlock()
-		return
+		return false
 	}
 	wp.down = true
-	wp.mode = mode
-	quit, wc, cmd, done := wp.quit, wp.wc, wp.cmd, wp.procDone
+	wc := wp.wc
 	wp.wc = nil
 	wp.mu.Unlock()
-	c.downCount.Add(1)
-	close(quit)
 	if wc != nil {
 		wc.Close()
 	}
-	if cmd != nil {
-		_ = cmd.Kill()
-	}
-	if done != nil {
-		<-done
-	}
-	c.sweep(wp)
+	c.reap(wp)
+	return true
 }
 
-// sweep empties a down worker's job queue, parking or destroying the
-// backlog and keeping the pending count honest (parked work must not hold
-// up Drain through an outage).
-func (c *Cluster) sweep(wp *workerProc) {
-	wp.mu.Lock()
-	backlog := append([]*netMsg(nil), wp.jobs[wp.head:]...)
-	wp.jobs = nil
-	wp.head = 0
-	park := wp.mode == chaos.Checkpoint
-	if park {
-		wp.parked = append(wp.parked, backlog...)
+// lost severs a failed worker and reports the failure to the leader.
+func (c *Cluster) lost(wp *workerProc, gen uint64) {
+	if c.sever(wp, gen) {
+		c.NodeFailed(wp.node)
 	}
-	wp.mu.Unlock()
-	for _, m := range backlog {
-		c.nodeQueued[wp.node].Add(-1)
-		c.pending.Add(-1)
-		if !park {
-			c.lose(m)
-		}
-	}
-	if len(backlog) > 0 {
-		c.wakePending()
-	}
-}
-
-// lose destroys a message, accounting its partials as lost tuples.
-func (c *Cluster) lose(m *netMsg) {
-	c.lost.Add(int64(len(m.partials)))
-	c.core.ReleasePartials(m.partials)
-	m.partials = nil
-}
-
-// send routes a message to the worker hosting its current stage's
-// operator: enqueued FIFO for a live node, parked (Checkpoint) or
-// destroyed (LoseState) for a down one. The down check and the enqueue
-// share wp.mu, so no message slips into a swept queue.
-func (c *Cluster) send(m *netMsg) {
-	op := m.plan[m.stage]
-	node := (*c.assign.Load())[op]
-	wp := c.workers[node]
-	wp.mu.Lock()
-	if wp.down {
-		if wp.mode == chaos.Checkpoint {
-			wp.parked = append(wp.parked, m)
-			wp.mu.Unlock()
-			return
-		}
-		wp.mu.Unlock()
-		c.lose(m)
-		return
-	}
-	c.pending.Add(1)
-	c.nodeQueued[node].Add(1)
-	wp.jobs = append(wp.jobs, m)
-	select {
-	case wp.notify <- struct{}{}:
-	default:
-	}
-	wp.mu.Unlock()
-}
-
-// pop takes the next job FIFO, blocking on the doorbell until work arrives
-// or quit closes (then nil). A closed quit with work still queued keeps
-// returning jobs — markDown's sweep, not pop, decides their fate.
-func (wp *workerProc) pop(quit <-chan struct{}) *netMsg {
-	for {
-		wp.mu.Lock()
-		if wp.head < len(wp.jobs) {
-			m := wp.jobs[wp.head]
-			wp.jobs[wp.head] = nil
-			wp.head++
-			if wp.head == len(wp.jobs) {
-				wp.jobs = wp.jobs[:0]
-				wp.head = 0
-			}
-			wp.mu.Unlock()
-			return m
-		}
-		wp.mu.Unlock()
-		select {
-		case <-quit:
-			return nil
-		case <-wp.notify:
-		}
-	}
-}
-
-// dispatcher drains one worker's queue: each job is one stage RPC, then
-// forward or sink. One dispatcher per node preserves per-stage FIFO order,
-// exactly like the engine's per-node inbox.
-func (c *Cluster) dispatcher(wp *workerProc, quit <-chan struct{}) {
-	for {
-		m := wp.pop(quit)
-		if m == nil {
-			return
-		}
-		c.runHop(wp, m)
-	}
-}
-
-// runHop executes one pipeline stage of m on wp's worker. The counter
-// dance mirrors the engine's worker loop: forward (re-incrementing
-// pending) before decrementing this hop, so pending never transiently hits
-// zero under a live message.
-func (c *Cluster) runHop(wp *workerProc, m *netMsg) {
-	op := m.plan[m.stage]
-	start := time.Now() //rldlint:allow wallclock -- slowdown emulation stretches real service time
-	out, selIn, selOut, gen, err := c.callStage(wp, op, m.partials)
-	if err != nil {
-		if !isDownErr(err) {
-			c.markDown(wp, gen, chaos.Checkpoint)
-		}
-		// The worker died under this hop. Its partials are still whole
-		// leader-side; park or destroy them like any queued message.
-		wp.mu.Lock()
-		park := wp.mode == chaos.Checkpoint
-		if park {
-			wp.parked = append(wp.parked, m)
-		}
-		wp.mu.Unlock()
-		if !park {
-			c.lose(m)
-		}
-		c.nodeQueued[wp.node].Add(-1)
-		c.pending.Add(-1)
-		c.wakePending()
-		return
-	}
-	c.core.ReleasePartials(m.partials)
-	c.selIn[op].Store(selIn)
-	c.selOut[op].Store(selOut)
-	m.partials = out
-
-	// Transient slowdown: stretch each hop's service time by the
-	// capacity factor, the process-level analogue of pausing part of the
-	// engine's worker pool.
-	wp.mu.Lock()
-	slow := wp.slow
-	wp.mu.Unlock()
-	if slow > 0 && slow < 1 {
-		time.Sleep(time.Duration(float64(time.Since(start)) * (1 - slow) / slow)) //rldlint:allow wallclock -- chaos slowdown emulation stretches real service time
-	}
-
-	if len(out) == 0 || m.stage == len(m.plan)-1 {
-		c.sink(m)
-	} else {
-		m.stage++
-		c.send(m)
-	}
-	c.nodeQueued[wp.node].Add(-1)
-	c.pending.Add(-1)
-	c.wakePending()
-}
-
-func (c *Cluster) sink(m *netMsg) {
-	c.produced.Add(int64(len(m.partials)))
-	c.latencyNano.Add(int64(time.Since(m.ingress))) //rldlint:allow wallclock -- batch latency is a host-side wall metric, not simulated time
-	if obs := c.resultObs.Load(); obs != nil && len(m.partials) > 0 {
-		// Ownership of the result tuples transfers to the observer's
-		// consumer; they are never recycled.
-		(*obs)(m.partials, m.ingress)
-		m.partials = nil
-		return
-	}
-	c.core.ReleasePartials(m.partials)
-	m.partials = nil
 }
 
 // rpc performs one request/response exchange on wc under the call timeout.
@@ -714,8 +414,17 @@ func (c *Cluster) rpc(wc *wireConn, t frameType, payload []byte) (frameType, []b
 	return rt, out, nil
 }
 
+// rpcOK performs one exchange on wc that must be acknowledged with frameOK.
+func (c *Cluster) rpcOK(wc *wireConn, t frameType, payload []byte) error {
+	rt, _, err := c.rpc(wc, t, payload)
+	if err == nil && rt != frameOK {
+		err = fmt.Errorf("%w: want ok, got frame %d", ErrBadFrame, rt)
+	}
+	return err
+}
+
 // call performs one RPC against wp's live connection, returning the
-// worker generation it used so error handlers can fence their markDown.
+// worker generation it used so error handlers can fence their sever.
 func (c *Cluster) call(wp *workerProc, t frameType, payload []byte) (frameType, []byte, uint64, error) {
 	wp.callMu.Lock()
 	defer wp.callMu.Unlock()
@@ -729,15 +438,27 @@ func (c *Cluster) call(wp *workerProc, t frameType, payload []byte) (frameType, 
 	return rt, rp, gen, err
 }
 
+// callOK performs one RPC that must be answered with a want frame. Any
+// other outcome on a live worker loses it; a down worker just refuses
+// with ErrWorkerDown.
+func (c *Cluster) callOK(wp *workerProc, t frameType, payload []byte, want frameType) ([]byte, error) {
+	rt, rp, gen, err := c.call(wp, t, payload)
+	if err == nil && rt != want {
+		err = fmt.Errorf("%w: want frame %d, got frame %d", ErrBadFrame, want, rt)
+	}
+	if err != nil && !isDownErr(err) {
+		c.lost(wp, gen)
+	}
+	return rp, err
+}
+
 // callStage runs one logical stage on wp's worker: serialize the
-// partials, execute remotely, decode the survivors and the operator's
-// cumulative selectivity counters. A hop whose partials exceed the stage
-// chunk bound is issued as several stage RPCs (the counters are
-// cumulative, so the last response's values cover the whole hop); the
-// input stays whole leader-side until every chunk succeeds, so an error
-// anywhere lets the caller park or lose the full message exactly as with
-// a single-frame hop.
-func (c *Cluster) callStage(wp *workerProc, op int, partials []*stream.Joined) (out []*stream.Joined, selIn, selOut int64, gen uint64, err error) {
+// partials, execute remotely, decode the survivors and the stage's
+// selectivity sample. A hop whose partials exceed the stage chunk bound is
+// issued as several stage RPCs whose samples add up; the input stays whole
+// leader-side until every chunk succeeds, so an error anywhere lets the
+// leader park or lose the full message exactly as with a single-frame hop.
+func (c *Cluster) callStage(wp *workerProc, op int, partials []*stream.Joined) (out []*stream.Joined, in, hit int64, gen uint64, err error) {
 	sch := c.core.Schema()
 	chunks := splitPartials(sch, partials, c.cfg.MaxStageChunk)
 	if chunks == nil {
@@ -745,19 +466,22 @@ func (c *Cluster) callStage(wp *workerProc, op int, partials []*stream.Joined) (
 	}
 	out = c.core.NewPartials()
 	for _, ch := range chunks {
-		out, selIn, selOut, gen, err = c.callStageChunk(wp, op, ch, out)
+		var dIn, dHit int64
+		out, dIn, dHit, gen, err = c.callStageChunk(wp, op, ch, out)
 		if err != nil {
 			c.core.ReleasePartials(out)
 			return nil, 0, 0, gen, err
 		}
+		in += dIn
+		hit += dHit
 	}
-	return out, selIn, selOut, gen, nil
+	return out, in, hit, gen, nil
 }
 
 // callStageChunk performs one stage RPC and appends the decoded survivors
 // to dst. The reply may span several frames — frameStagePart
 // continuations followed by the frameStageResult that carries the
-// counters — each individually bounded, so the exchange never builds a
+// selectivity sample — each individually bounded, so the exchange never builds a
 // frame proportional to the hop's total fanout. Always returns dst (with
 // whatever was appended) so the caller can release pooled partials on
 // error.
@@ -814,132 +538,25 @@ func (c *Cluster) callStageChunk(wp *workerProc, op int, ps, dst []*stream.Joine
 	}
 }
 
-// refreshSnap re-clones the monitor state into the chooser snapshot cache.
-func (c *Cluster) refreshSnap() {
-	snap := c.monitor.Snapshot()
-	c.snapCache.Store(&snap)
+// Consumers implements engine.Transport: one RPC in flight per worker.
+func (c *Cluster) Consumers() int { return 1 }
+
+// Launch implements engine.Transport: starts the heartbeat.
+func (c *Cluster) Launch(*engine.Leader) {
+	c.launched.Store(true)
+	go c.heartbeatLoop()
 }
 
-const statsEvery = 8
-
-// offerStats publishes observed per-op selectivities (as last piggybacked
-// on stage replies) to the monitor, rate-limited like the engine's.
-func (c *Cluster) offerStats(force bool) {
-	if !force && c.statBatches.Add(1)%statsEvery != 1 {
-		return
-	}
-	sels := make([]float64, len(c.q.Ops))
-	for i := range sels {
-		in := c.selIn[i].Load()
-		if in < 32 {
-			sels[i] = c.q.Ops[i].Sel
-		} else {
-			sels[i] = float64(c.selOut[i].Load()) / float64(in)
-		}
-	}
-	c.mu.Lock()
-	rates := make(map[string]float64, len(c.rateCount))
-	for k, v := range c.rateCount {
-		rates[k] = v
-	}
-	c.mu.Unlock()
-	// App-time fallback, as in Engine.offerStats: Offer uses the stamp
-	// only to pace resampling, so the batch-timestamp high-water mark is
-	// a valid (and host-speed-independent) clock.
-	now := math.Float64frombits(c.lastAppTs.Load())
-	if fn := c.timeSource.Load(); fn != nil {
-		now = (*fn)()
-	}
-	c.monitor.Offer(now, sels, rates)
-	c.refreshSnap()
-}
-
-// advanceAppTime CAS-maxes the app-time high-water mark to ts, ignoring
-// non-positive stamps (see Engine.advanceAppTime).
-func (c *Cluster) advanceAppTime(ts float64) {
-	if ts <= 0 {
-		return
-	}
-	bits := math.Float64bits(ts)
-	for {
-		cur := c.lastAppTs.Load()
-		if bits <= cur || c.lastAppTs.CompareAndSwap(cur, bits) {
-			return
-		}
-	}
-}
-
-func (c *Cluster) internPlan(plan query.Plan) (internedPlan, bool) {
-	c.mu.Lock()
-	for i := range c.plans {
-		if c.plans[i].plan.Equal(plan) {
-			ip := c.plans[i]
-			c.mu.Unlock()
-			return ip, true
-		}
-	}
-	c.mu.Unlock()
-	if plan == nil || !plan.Valid(c.q) {
-		return internedPlan{}, false
-	}
-	ip := internedPlan{plan: plan.Clone(), key: plan.Key()}
-	c.mu.Lock()
-	if len(c.plans) < maxInterned {
-		c.plans = append(c.plans, ip)
-	}
-	c.mu.Unlock()
-	return ip, true
-}
-
-// Ingest implements engine.Backend: classify the batch, push its rows into
-// the join windows of its stream's operators (one Insert RPC per hosting
-// worker, batch columns straight onto the wire), seed singleton partials,
-// and start the pipeline. Inserts to down workers are skipped — recovery
-// restores from the last checkpoint anyway, exactly the tuples the
-// in-process engine also loses. Never blocks beyond the synchronous RPCs;
-// callers pace via AwaitPending.
-func (c *Cluster) Ingest(b *stream.Batch) error {
-	c.sendMu.RLock()
-	defer c.sendMu.RUnlock()
-	c.mu.Lock()
-	if !c.started {
-		c.mu.Unlock()
-		return engine.ErrNotStarted
-	}
-	if c.stopped {
-		c.mu.Unlock()
-		return engine.ErrStopped
-	}
-	c.mu.Unlock()
-	if n := len(c.workers); int(c.downCount.Load()) >= n {
-		return fmt.Errorf("%w: all %d nodes crashed", engine.ErrNodeDown, n)
-	}
-	plan := c.chooser.Choose(*c.snapCache.Load())
-	ip, ok := c.internPlan(plan)
-	if !ok {
-		return fmt.Errorf("%w: chooser returned %v", engine.ErrInvalidPlan, plan)
-	}
-	c.advanceAppTime(float64(b.MaxTs()))
-	c.offerStats(false)
-
-	n := b.Len()
-	c.mu.Lock()
-	c.ingested += int64(n)
-	c.batches++
-	c.rateCount[b.Stream] += float64(n)
-	c.planUse[ip.key]++
-	if ip.key != c.lastKey {
-		if c.lastKey != "" {
-			c.switches++
-		}
-		c.lastKey = ip.key
-	}
-	c.mu.Unlock()
-
-	// Window inserts, grouped by hosting worker so the batch crosses the
-	// wire once per node, not once per operator.
-	assign := *c.assign.Load()
-	for node := range c.workers {
+// InsertWindows implements engine.Transport: the batch's rows go to the
+// join windows of its stream's operators, one Insert RPC per hosting
+// worker (batch columns straight onto the wire). Inserts to down workers
+// are skipped — recovery restores from the last checkpoint anyway, exactly
+// the tuples the in-process engine also loses — except in durable mode,
+// where they queue as unacked payloads for Respawn to re-offer, as does a
+// call that dies mid-RPC (the worker may or may not have logged it; its
+// dedup disambiguates). Never fails.
+func (c *Cluster) InsertWindows(b *stream.Batch, assign physical.Assignment) error {
+	for node, wp := range c.workers {
 		var ops []int
 		for op, hn := range assign {
 			if hn == node && c.q.Ops[op].Kind == query.Join && c.q.Ops[op].Stream == b.Stream {
@@ -949,204 +566,62 @@ func (c *Cluster) Ingest(b *stream.Batch) error {
 		if len(ops) == 0 {
 			continue
 		}
-		wp := c.workers[node]
 		var e enc
 		e.U16(uint16(len(ops)))
 		for _, op := range ops {
 			e.U16(uint16(op))
 		}
 		encodeBatch(&e, b)
-		// Durable mode: never drop an insert on the floor. A down worker's
-		// inserts queue as unacked payloads for Recover to re-offer, and a
-		// call that dies mid-RPC retains its payload the same way (the
-		// worker may or may not have logged it; its dedup disambiguates).
 		if c.durable() {
 			wp.mu.Lock()
-			if wp.down {
-				if wp.mode == chaos.Checkpoint {
-					wp.unacked = append(wp.unacked, e.B)
-				}
-				wp.mu.Unlock()
-				continue
+			down := wp.down
+			if down {
+				wp.unacked = append(wp.unacked, e.B)
 			}
 			wp.mu.Unlock()
-		}
-		t, _, gen, err := c.call(wp, frameInsert, e.B)
-		if err == nil && t != frameOK {
-			err = fmt.Errorf("%w: want ok, got frame %d", ErrBadFrame, t)
-		}
-		if err != nil {
-			if !isDownErr(err) {
-				c.markDown(wp, gen, chaos.Checkpoint)
-			}
-			if c.durable() {
-				wp.mu.Lock()
-				if wp.mode == chaos.Checkpoint {
-					wp.unacked = append(wp.unacked, e.B)
-				}
-				wp.mu.Unlock()
+			if down {
+				continue
 			}
 		}
-	}
-
-	// Seed one pooled singleton partial per tuple; columns are copied, so
-	// the caller may reuse b on return.
-	slot := c.core.Schema().Slot(b.Stream)
-	partials := c.core.NewPartials()
-	for i := 0; i < n; i++ {
-		j := c.core.Schema().Acquire()
-		j.SetPart(slot, b.Seq[i], b.Ts[i], b.Key[i], b.Arr[i], b.ValsAt(i))
-		partials = append(partials, j)
-	}
-	c.send(&netMsg{partials: partials, plan: ip.plan, ingress: time.Now()}) //rldlint:allow wallclock -- ingress stamp feeds the wall-latency metric in sink
-	return nil
-}
-
-// Pending implements engine.Backend.
-func (c *Cluster) Pending() int64 { return c.pending.Load() }
-
-func (c *Cluster) wakePending() {
-	if c.waiters.Load() == 0 {
-		return
-	}
-	c.waitMu.Lock()
-	close(c.waitCh)
-	c.waitCh = make(chan struct{})
-	c.waitMu.Unlock()
-}
-
-// AwaitPending implements engine.Backend (the engine's event-driven
-// notifier protocol, verbatim).
-func (c *Cluster) AwaitPending(ctx context.Context, limit int64, closed <-chan struct{}) error {
-	if limit < 1 {
-		limit = 1
-	}
-	for c.pending.Load() >= limit {
-		c.waiters.Add(1)
-		c.waitMu.Lock()
-		ch := c.waitCh
-		c.waitMu.Unlock()
-		if c.pending.Load() < limit {
-			c.waiters.Add(-1)
-			return nil
-		}
-		select {
-		case <-ch:
-			c.waiters.Add(-1)
-		case <-ctx.Done():
-			c.waiters.Add(-1)
-			return ctx.Err()
-		case <-closed:
-			c.waiters.Add(-1)
-			return runtime.ErrClosed
+		if _, err := c.callOK(wp, frameInsert, e.B, frameOK); err != nil && c.durable() {
+			wp.mu.Lock()
+			wp.unacked = append(wp.unacked, e.B)
+			wp.mu.Unlock()
 		}
 	}
 	return nil
 }
 
-// Drain implements engine.Backend.
-func (c *Cluster) Drain() { c.AwaitPending(context.Background(), 1, nil) }
-
-// Counters implements engine.Backend.
-func (c *Cluster) Counters() engine.Counters {
-	ec := engine.Counters{
-		Produced:   c.produced.Load(),
-		TuplesLost: c.lost.Load(),
-		Pending:    c.pending.Load(),
-		Crashes:    int(c.crashes.Load()),
-		Restores:   int(c.restores.Load()),
-	}
-	c.mu.Lock()
-	ec.Ingested = c.ingested
-	ec.Batches = c.batches
-	ec.PlanSwitches = c.switches
-	c.mu.Unlock()
-	return ec
-}
-
-// Nodes implements engine.Backend.
-func (c *Cluster) Nodes() int { return len(c.workers) }
-
-// Assignment implements engine.Backend.
-func (c *Cluster) Assignment() physical.Assignment { return (*c.assign.Load()).Clone() }
-
-// NodeLoads implements engine.Backend: queued message counts, with the
-// runtime.DownLoad sentinel for crashed workers.
-func (c *Cluster) NodeLoads() []float64 {
-	out := make([]float64, len(c.workers))
-	for i, wp := range c.workers {
-		wp.mu.Lock()
-		down := wp.down
-		wp.mu.Unlock()
-		if down {
-			out[i] = runtime.DownLoad
-		} else {
-			out[i] = float64(c.nodeQueued[i].Load())
-		}
-	}
-	return out
-}
-
-func (c *Cluster) controlReady() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped {
-		return engine.ErrStopped
-	}
-	return nil
-}
-
-// Migrate implements engine.Backend. Unlike the in-process engine, where
-// operator state is shared memory and migration is a pure routing-table
-// swap, moving an operator here transfers its window state: snapshot on
-// the old worker, restore on the new (falling back to the leader's last
-// checkpoint when the old worker is down). In-flight hops already queued
-// to the old worker still execute there against its (now stale, but
-// intact) copy.
-func (c *Cluster) Migrate(op, node int) error {
-	if err := c.controlReady(); err != nil {
-		return err
-	}
-	cur := *c.assign.Load()
-	if op < 0 || op >= len(cur) {
-		return fmt.Errorf("%w: migrate op %d", engine.ErrUnknownOp, op)
-	}
-	if node < 0 || node >= len(c.workers) {
-		return fmt.Errorf("%w: migrate to node %d", engine.ErrUnknownNode, node)
-	}
-	if cur[op] == node {
-		return nil
-	}
-	if c.q.Ops[op].Kind == query.Join {
-		snap := c.snapshotOpFrom(cur[op], op)
-		if snap == nil {
-			c.snapMu.Lock()
-			if c.snaps != nil {
-				snap = c.snaps[op]
-			}
-			c.snapMu.Unlock()
-		}
-		if snap != nil {
-			c.restoreOpOn(node, op, snap)
-		}
-	}
-	next := cur.Clone()
-	next[op] = node
-	c.assign.Store(&next)
-	return nil
-}
-
-// snapshotOpFrom fetches op's live window state from a worker (nil when
-// the worker is down or fails mid-call).
-func (c *Cluster) snapshotOpFrom(node, op int) *stream.Batch {
+// RunStage implements engine.Transport: one stage RPC, then, under a
+// slowdown, a sleep stretching the hop's service time by the capacity
+// factor — the process-level analogue of pausing part of a worker pool.
+func (c *Cluster) RunStage(node, op int, partials []*stream.Joined) ([]*stream.Joined, int64, int64, error) {
 	wp := c.workers[node]
+	start := time.Now() //rldlint:allow wallclock -- slowdown emulation stretches real service time
+	out, in, hit, gen, err := c.callStage(wp, op, partials)
+	if err != nil {
+		if !isDownErr(err) {
+			c.lost(wp, gen)
+		}
+		return nil, 0, 0, err
+	}
+	c.core.ReleasePartials(partials)
+	wp.mu.Lock()
+	slow := wp.slow
+	wp.mu.Unlock()
+	if slow > 0 && slow < 1 {
+		time.Sleep(time.Duration(float64(time.Since(start)) * (1 - slow) / slow)) //rldlint:allow wallclock -- chaos slowdown emulation stretches real service time
+	}
+	return out, in, hit, nil
+}
+
+// Snapshot implements engine.Transport: fetches op's live window state
+// from a worker (nil when the worker is down or fails mid-call).
+func (c *Cluster) Snapshot(node, op int) *stream.Batch {
 	var e enc
 	e.U16(uint16(op))
-	t, payload, gen, err := c.call(wp, frameSnapshot, e.B)
-	if err != nil || t != frameSnapshotResult {
-		if err != nil && !isDownErr(err) {
-			c.markDown(wp, gen, chaos.Checkpoint)
-		}
+	payload, err := c.callOK(c.workers[node], frameSnapshot, e.B, frameSnapshotResult)
+	if err != nil {
 		return nil
 	}
 	d := dec{B: payload}
@@ -1160,9 +635,8 @@ func (c *Cluster) snapshotOpFrom(node, op int) *stream.Batch {
 	return b
 }
 
-// restoreOpOn replaces op's window state on a worker with snap.
-func (c *Cluster) restoreOpOn(node, op int, snap *stream.Batch) {
-	wp := c.workers[node]
+// restorePayload encodes a frameRestore request (a nil snap clears op).
+func restorePayload(op int, snap *stream.Batch) []byte {
 	var e enc
 	e.U16(uint16(op))
 	if snap != nil {
@@ -1171,146 +645,71 @@ func (c *Cluster) restoreOpOn(node, op int, snap *stream.Batch) {
 	} else {
 		e.U8(0)
 	}
-	t, _, gen, err := c.call(wp, frameRestore, e.B)
-	if err == nil && t != frameOK {
-		err = fmt.Errorf("%w: want ok, got frame %d", ErrBadFrame, t)
+	return e.B
+}
+
+// Move implements engine.Transport: unlike in-process, where operator
+// state is shared memory, moving an operator here transfers its window
+// state — snapshot on the old worker, restore on the new (falling back to
+// the last checkpoint when the old worker is down). Hops already queued to
+// the old worker still execute there against its stale but intact copy.
+func (c *Cluster) Move(op, from, to int, saved *stream.Batch) {
+	snap := c.Snapshot(from, op)
+	if snap == nil {
+		snap = saved
 	}
-	if err != nil && !isDownErr(err) {
-		c.markDown(wp, gen, chaos.Checkpoint)
+	if snap != nil {
+		_, _ = c.callOK(c.workers[to], frameRestore, restorePayload(op, snap), frameOK)
 	}
 }
 
-// Crash implements engine.Backend: a literal SIGKILL of the node's worker
-// process. The queue sweep parks (Checkpoint) or destroys (LoseState) its
-// backlog, and subsequent sends do the same until Recover. Crashing a
-// crashed node is a no-op. Call from the control goroutine (the session
-// serializes this).
-func (c *Cluster) Crash(node int, mode chaos.RecoveryMode) error {
-	if err := c.controlReady(); err != nil {
-		return err
-	}
-	if node < 0 || node >= len(c.workers) {
-		return fmt.Errorf("%w: crash node %d", engine.ErrUnknownNode, node)
-	}
+// Kill implements engine.Transport: a literal SIGKILL of the node's worker
+// process.
+func (c *Cluster) Kill(node int) {
 	wp := c.workers[node]
 	wp.mu.Lock()
-	if wp.down {
-		wp.mu.Unlock()
-		return nil
-	}
 	gen := wp.gen
 	wp.mu.Unlock()
-	c.crashes.Add(1)
-	c.markDown(wp, gen, mode)
-	return nil
+	c.sever(wp, gen)
 }
 
-// Recover implements engine.Backend: respawn the worker process, restore
-// the join-window state of the operators the node currently hosts from the
-// leader's last checkpoint (Checkpoint mode; LoseState and
-// never-checkpointed recoveries start empty — a fresh process has no state
-// to clear), then replay the parked backlog through the current routing
-// table. Recovering a live node is a no-op.
-func (c *Cluster) Recover(node int) error {
-	if err := c.controlReady(); err != nil {
-		return err
-	}
-	if node < 0 || node >= len(c.workers) {
-		return fmt.Errorf("%w: recover node %d", engine.ErrUnknownNode, node)
-	}
+// Respawn implements engine.Transport: start a fresh worker process and,
+// before any traffic flows, restore the hosted join operators from the
+// checkpoint (Checkpoint mode; LoseState and never-checkpointed recoveries
+// start empty — a fresh process has no state to clear). The RPCs run
+// directly on the fresh conn: the worker is still formally down, so call
+// would refuse.
+func (c *Cluster) Respawn(node int, mode chaos.RecoveryMode, ops []int, snaps []*stream.Batch) error {
 	wp := c.workers[node]
-	wp.mu.Lock()
-	if !wp.down {
-		wp.mu.Unlock()
-		return nil
-	}
-	mode := wp.mode
-	wp.mu.Unlock()
 	if err := c.spawnInto(wp); err != nil {
 		return err
 	}
 	wc, err := c.awaitWorker(node)
 	if err != nil {
-		wp.mu.Lock()
-		cmd, done := wp.cmd, wp.procDone
-		wp.mu.Unlock()
-		if cmd != nil {
-			_ = cmd.Kill()
-		}
-		if done != nil {
-			<-done
-		}
+		c.reap(wp)
 		return err
 	}
-	// Restore hosted join-operator state before any traffic flows. The
-	// RPCs run directly on the fresh conn: the node is still formally
-	// down, so c.call would refuse.
-	if mode == chaos.Checkpoint {
-		c.snapMu.Lock()
-		taken := c.snaps != nil
-		var snaps []*stream.Batch
-		if taken {
-			snaps = c.snaps
-		}
-		c.snapMu.Unlock()
-		if taken {
-			assign := *c.assign.Load()
-			for op, n := range assign {
-				if n != node || c.q.Ops[op].Kind != query.Join {
-					continue
-				}
-				var e enc
-				e.U16(uint16(op))
-				if snaps[op] != nil {
-					e.U8(1)
-					encodeBatch(&e, snaps[op])
-				} else {
-					e.U8(0)
-				}
-				t, _, rerr := c.rpc(wc, frameRestore, e.B)
-				if rerr == nil && t != frameOK {
-					rerr = fmt.Errorf("%w: want ok, got frame %d", ErrBadFrame, t)
-				}
-				if rerr != nil {
-					wc.Close()
-					wp.mu.Lock()
-					cmd, done := wp.cmd, wp.procDone
-					wp.mu.Unlock()
-					if cmd != nil {
-						_ = cmd.Kill()
-					}
-					if done != nil {
-						<-done
-					}
-					return fmt.Errorf("netrt: restore op on recovered node %d: %w", node, rerr)
-				}
-				c.restores.Add(1)
+	abort := func(what string, err error) error {
+		wc.Close()
+		c.reap(wp)
+		return fmt.Errorf("netrt: %s on recovered node %d: %w", what, node, err)
+	}
+	if mode == chaos.Checkpoint && snaps != nil {
+		for _, op := range ops {
+			if err := c.rpcOK(wc, frameRestore, restorePayload(op, snaps[op])); err != nil {
+				return abort("restore op", err)
 			}
 		}
 	}
-	// Durable mode: before any traffic, replay the worker's local WAL —
-	// everything it fsync'd past the snapshot the restore just shipped —
-	// then re-offer the inserts the old incarnation never acknowledged.
-	// Both overlap the restored state; the worker's insert-time dedup
-	// makes the union exact. The drain loops until a lock-held check sees
-	// no unacked left, so an Ingest racing the recovery cannot strand a
-	// queued insert behind the flip.
+	// Durable mode: replay the worker's local WAL — everything it fsync'd
+	// past the snapshot just shipped — then re-offer the inserts the old
+	// incarnation never acknowledged. Both overlap the restored state; the
+	// worker's insert-time dedup makes the union exact. The drain loops
+	// until a lock-held check sees no unacked left, so an Ingest racing the
+	// recovery cannot strand a queued insert behind the flip.
 	if c.durable() && mode == chaos.Checkpoint {
-		if t, _, rerr := c.rpc(wc, frameWALReplay, nil); rerr != nil || t != frameOK {
-			if rerr == nil {
-				rerr = fmt.Errorf("%w: want ok, got frame %d", ErrBadFrame, t)
-			}
-			wc.Close()
-			wp.mu.Lock()
-			cmd, done := wp.cmd, wp.procDone
-			wp.mu.Unlock()
-			if cmd != nil {
-				_ = cmd.Kill()
-			}
-			if done != nil {
-				<-done
-			}
-			return fmt.Errorf("netrt: wal replay on recovered node %d: %w", node, rerr)
+		if err := c.rpcOK(wc, frameWALReplay, nil); err != nil {
+			return abort("wal replay", err)
 		}
 		for {
 			wp.mu.Lock()
@@ -1321,67 +720,36 @@ func (c *Cluster) Recover(node int) error {
 				break
 			}
 			for i, payload := range unacked {
-				t, _, rerr := c.rpc(wc, frameInsert, payload)
-				if rerr == nil && t != frameOK {
-					rerr = fmt.Errorf("%w: want ok, got frame %d", ErrBadFrame, t)
-				}
-				if rerr != nil {
+				if err := c.rpcOK(wc, frameInsert, payload); err != nil {
 					// Put the undelivered tail back for the next attempt.
 					wp.mu.Lock()
 					wp.unacked = append(unacked[i:], wp.unacked...)
 					wp.mu.Unlock()
-					wc.Close()
-					wp.mu.Lock()
-					cmd, done := wp.cmd, wp.procDone
-					wp.mu.Unlock()
-					if cmd != nil {
-						_ = cmd.Kill()
-					}
-					if done != nil {
-						<-done
-					}
-					return fmt.Errorf("netrt: re-offer inserts to recovered node %d: %w", node, rerr)
+					return abort("re-offer inserts", err)
 				}
 			}
 		}
 	}
-	// Flip live and take the parked backlog atomically: later sends go
-	// straight to the queue, everything parked before the flip replays.
-	// An insert queued between the drain loop's final check and this lock
-	// (stragglers; durable Checkpoint mode only — LoseState recoveries
-	// drop retained inserts with the rest of the state) is delivered
-	// through the now-live path before the parked work replays.
+	// Go live. An insert queued between the drain loop's final check and
+	// this lock (a straggler; durable Checkpoint mode only — LoseState
+	// recoveries drop retained inserts with the rest of the state) is
+	// delivered through the now-live path before the leader replays its
+	// parked work.
 	wp.mu.Lock()
 	stragglers := wp.unacked
 	wp.unacked = nil
 	wp.wc = wc
 	wp.down = false
-	wp.quit = make(chan struct{})
-	quit := wp.quit
-	parked := wp.parked
-	wp.parked = nil
 	wp.mu.Unlock()
-	c.downCount.Add(-1)
 	if mode != chaos.Checkpoint {
 		stragglers = nil
 	}
 	for _, payload := range stragglers {
-		t, _, gen, rerr := c.call(wp, frameInsert, payload)
-		if rerr == nil && t != frameOK {
-			rerr = fmt.Errorf("%w: want ok, got frame %d", ErrBadFrame, t)
-		}
-		if rerr != nil {
-			if !isDownErr(rerr) {
-				c.markDown(wp, gen, chaos.Checkpoint)
-			}
+		if _, err := c.callOK(wp, frameInsert, payload, frameOK); err != nil {
 			wp.mu.Lock()
 			wp.unacked = append(wp.unacked, payload)
 			wp.mu.Unlock()
 		}
-	}
-	go c.dispatcher(wp, quit)
-	for _, m := range parked {
-		c.send(m)
 	}
 	return nil
 }
@@ -1403,162 +771,62 @@ func (c *Cluster) awaitWorker(node int) (*wireConn, error) {
 	}
 }
 
-// SetSlowdown implements engine.Backend: hops on the node take 1/factor
-// their service time until restored with factor 1.
-func (c *Cluster) SetSlowdown(node int, factor float64) error {
-	if err := c.controlReady(); err != nil {
-		return err
+// Barrier implements engine.Transport. In durable mode each live worker
+// first cuts a WAL barrier, so every insert is covered either by the
+// snapshots pulled after it or by the worker's retained log; only a worker
+// whose barrier and every snapshot pull succeeded is told to truncate
+// (frameWALMark). A worker that fails any step keeps its log back to the
+// last successful mark — exactly the suffix replay needs to bridge its
+// stale snapshot.
+func (c *Cluster) Barrier(pull func() []bool) {
+	if !c.durable() {
+		pull()
+		return
 	}
-	if node < 0 || node >= len(c.workers) {
-		return fmt.Errorf("%w: slowdown node %d", engine.ErrUnknownNode, node)
+	cut := make([]bool, len(c.workers))
+	for node, wp := range c.workers {
+		_, err := c.callOK(wp, frameWALBarrier, nil, frameOK)
+		cut[node] = err == nil
 	}
-	if factor <= 0 || factor > 1 {
-		factor = 1
+	failed := pull()
+	for node, wp := range c.workers {
+		if cut[node] && !failed[node] {
+			_, _ = c.callOK(wp, frameWALMark, nil, frameOK)
+		}
 	}
+}
+
+// Slow implements engine.Transport: hops on the node take 1/factor their
+// service time until restored with factor 1.
+func (c *Cluster) Slow(node int, factor float64) {
 	wp := c.workers[node]
 	wp.mu.Lock()
 	wp.slow = factor
 	wp.mu.Unlock()
-	return nil
 }
 
-// Checkpoint implements engine.Backend: snapshot every join operator's
-// window state into leader memory — what Checkpoint-mode recovery ships
-// back to a respawned worker. Operators on down workers keep their
-// previous snapshot (their state will be rebuilt from it anyway).
-//
-// In durable mode each live worker first cuts a WAL barrier, so every
-// insert is covered either by the snapshots pulled after it or by the
-// worker's retained log; only a worker whose barrier and every snapshot
-// pull succeeded is told to truncate (frameWALMark). A worker that fails
-// any step keeps its log back to the last successful mark — exactly the
-// suffix replay needs to bridge its stale snapshot.
-func (c *Cluster) Checkpoint() {
-	assign := *c.assign.Load()
-	durable := c.durable()
-	barrierOK := make([]bool, len(c.workers))
-	if durable {
-		for node, wp := range c.workers {
-			t, _, gen, err := c.call(wp, frameWALBarrier, nil)
-			if err == nil && t != frameOK {
-				err = fmt.Errorf("%w: want ok, got frame %d", ErrBadFrame, t)
-			}
-			if err != nil {
-				if !isDownErr(err) {
-					c.markDown(wp, gen, chaos.Checkpoint)
-				}
-				continue
-			}
-			barrierOK[node] = true
-		}
-	}
-	c.snapMu.Lock()
-	prev := c.snaps
-	c.snapMu.Unlock()
-	snaps := make([]*stream.Batch, len(c.q.Ops))
-	pullFailed := make([]bool, len(c.workers))
-	for op := range c.q.Ops {
-		if c.q.Ops[op].Kind != query.Join {
-			continue
-		}
-		if b := c.snapshotOpFrom(assign[op], op); b != nil {
-			snaps[op] = b
-		} else {
-			pullFailed[assign[op]] = true
-			if prev != nil {
-				snaps[op] = prev[op]
-			}
-		}
-	}
-	c.snapMu.Lock()
-	c.snaps = snaps
-	c.snapMu.Unlock()
-	if durable {
-		for node, wp := range c.workers {
-			if !barrierOK[node] || pullFailed[node] {
-				continue
-			}
-			t, _, gen, err := c.call(wp, frameWALMark, nil)
-			if err == nil && t != frameOK {
-				err = fmt.Errorf("%w: want ok, got frame %d", ErrBadFrame, t)
-			}
-			if err != nil && !isDownErr(err) {
-				c.markDown(wp, gen, chaos.Checkpoint)
-			}
-		}
-	}
-}
-
-// SetChooser implements engine.Backend (install before Start).
-func (c *Cluster) SetChooser(ch engine.PlanChooser) { c.chooser = ch }
-
-// SetTimeSource implements engine.Backend.
-func (c *Cluster) SetTimeSource(fn func() float64) {
-	if fn == nil {
-		c.timeSource.Store(nil)
-		return
-	}
-	c.timeSource.Store(&fn)
-}
-
-// SetResultObserver implements engine.Backend.
-func (c *Cluster) SetResultObserver(obs func(tuples []*stream.Joined, ingress time.Time)) {
-	if obs == nil {
-		c.resultObs.Store(nil)
-		return
-	}
-	c.resultObs.Store(&obs)
-}
-
-// Stop implements engine.Backend: barrier out in-flight Ingests, drain the
-// pipeline, quit every live worker (SIGKILL any that dawdle), destroy
-// backlog parked on still-down nodes, and report the run. Safe to call on
-// a never-started cluster (the OpenSessionOn error path).
-func (c *Cluster) Stop() engine.Results {
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		<-c.stopDone
-		return c.results()
-	}
-	c.stopped = true
-	started := c.started
-	c.mu.Unlock()
-	if !started {
+// Close implements engine.Transport: quit every live worker (SIGKILL any
+// that dawdle) and close the listener. A never-started cluster is torn
+// down (the OpenSessionOn error path).
+func (c *Cluster) Close() {
+	if !c.launched.Load() {
 		c.teardown()
-		close(c.stopDone)
-		return c.results()
+		return
 	}
-	// Barrier: wait out any Ingest that passed its stopped-check before
-	// the flag flipped; new Ingests are now rejected.
-	c.sendMu.Lock()
-	//lint:ignore SA2001 the empty critical section IS the barrier
-	c.sendMu.Unlock()
-	c.Drain()
 	close(c.hbQuit)
 	<-c.hbDone
 	for _, wp := range c.workers {
 		wp.mu.Lock()
-		down := wp.down
-		wp.mu.Unlock()
-		if down {
-			// Still down at shutdown: only the parked backlog remains —
-			// count it as lost, there is no recovery to replay into.
-			wp.mu.Lock()
-			parked := wp.parked
-			wp.parked = nil
+		if wp.down {
 			wp.mu.Unlock()
-			for _, m := range parked {
-				c.lose(m)
-			}
 			continue
 		}
-		wp.mu.Lock()
-		quit, wc, cmd, done := wp.quit, wp.wc, wp.cmd, wp.procDone
+		// Marked down first, so the exit handler does not report the
+		// requested exit as a failure.
 		wp.down = true
+		wc, cmd, done := wp.wc, wp.cmd, wp.procDone
 		wp.wc = nil
 		wp.mu.Unlock()
-		close(quit)
 		if wc != nil {
 			wp.callMu.Lock()
 			_ = wc.writeFrame(frameQuit, nil)
@@ -1579,31 +847,4 @@ func (c *Cluster) Stop() engine.Results {
 		}
 	}
 	c.ln.Close()
-	c.offerStats(true)
-	close(c.stopDone)
-	return c.results()
-}
-
-func (c *Cluster) results() engine.Results {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r := engine.Results{
-		Produced:     c.produced.Load(),
-		Ingested:     c.ingested,
-		Batches:      c.batches,
-		PlanSwitches: c.switches,
-		PlanUse:      make(map[string]int64, len(c.planUse)),
-		Crashes:      int(c.crashes.Load()),
-		TuplesLost:   c.lost.Load(),
-		Restores:     int(c.restores.Load()),
-	}
-	for k, v := range c.planUse {
-		r.PlanUse[k] = v
-	}
-	if c.batches > 0 {
-		r.MeanLatencyMS = float64(c.latencyNano.Load()) / 1e6 / float64(c.batches)
-	}
-	snap := c.monitor.Snapshot()
-	r.ObservedSels = snap.Sels
-	return r
 }

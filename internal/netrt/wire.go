@@ -1,10 +1,12 @@
 // Package netrt is the multi-process network substrate: each node of the
 // cluster is a real OS process (cmd/rldworker, or a re-exec of the host
 // binary) owning its operators' join-window state through the same
-// engine.NodeCore the in-process engine runs, and the leader — embedded in
-// the caller's process — owns the routing table, placement, virtual-clock
-// control tick, plan classification, statistics, and failure detection.
-// Leader and workers speak a length-prefixed binary TCP protocol with no
+// engine.NodeCore the in-process engine runs. The leader, embedded in the
+// caller's process, is the same engine.Leader the in-process engine runs —
+// routing table, placement, plan classification, statistics, per-node
+// queues, checkpoints and the failure lifecycle — and Cluster is its TCP
+// Transport: spawn, handshake, heartbeat, stage and control RPCs, and
+// re-offer of unacknowledged inserts. Leader and workers speak a length-prefixed binary TCP protocol with no
 // dependencies outside the standard library; stream.Batch columns are
 // serialized directly onto the wire, so the columnar hot path survives the
 // hop. Crash here is a literal SIGKILL of the worker process, and Recover
@@ -29,8 +31,9 @@ const (
 	protoMagic = 0x524C4431
 	// ProtoVersion is the wire protocol version; leader and worker must
 	// match exactly. v2 added the WAL control frames (barrier, mark,
-	// replay) for exactly-once durability.
-	ProtoVersion = 2
+	// replay) for exactly-once durability; v3 made frameStageResult carry
+	// the call's selectivity sample instead of the worker's running totals.
+	ProtoVersion = 3
 	// MaxFrame bounds a single frame's payload. Frames beyond it are
 	// rejected with ErrFrameTooLarge before any allocation.
 	MaxFrame = 64 << 20
@@ -80,7 +83,7 @@ const (
 	frameError                               // either way: code + message, then close
 	frameInsert                              // leader → worker: ops + batch columns
 	frameStage                               // leader → worker: op + partials
-	frameStageResult                         // worker → leader: sel counters + partials
+	frameStageResult                         // worker → leader: sel sample + partials
 	frameSnapshot                            // leader → worker: op
 	frameSnapshotResult                      // worker → leader: optional batch
 	frameRestore                             // leader → worker: op + optional batch

@@ -30,7 +30,7 @@ type setupMsg struct {
 // RunWorker connects to the leader, performs the handshake, builds the
 // node's operator state, and serves stage/insert/snapshot requests until a
 // Quit frame or connection loss. The loop is single-threaded — one request
-// at a time per worker, matching the one-dispatcher-per-node leader —
+// at a time per worker, matching the leader's one consumer per TCP node —
 // so NodeCore sees no concurrency beyond what the engine's shard locks
 // already absorb.
 //
@@ -158,16 +158,18 @@ func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error 
 				wc.writeError(derr)
 				return derr
 			}
-			out, perr := core.ProcessStage(op, partials)
+			out, selIn, selOut, perr := core.RunStage(op, partials)
 			if perr != nil {
 				wc.writeError(perr)
 				return perr
 			}
-			selIn, selOut := core.SelCounters(op)
 			// Join fanout can multiply the input far past MaxFrame, so the
 			// reply is split: every segment but the last travels as a
-			// frameStagePart, and the final frameStageResult carries the
-			// selectivity counters plus the tail segment.
+			// frameStagePart, and the final frameStageResult carries this
+			// call's selectivity sample plus the tail segment. The sample
+			// is a delta, not a running total: the leader accumulates it,
+			// so it survives this process's respawn or the operator's
+			// migration.
 			segs := splitPartials(sch, out, chunk)
 			for len(segs) > 1 {
 				reply.B = reply.B[:0]

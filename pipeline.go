@@ -102,8 +102,9 @@ func WithWorkers(n int) Option { return func(c *pipelineConfig) { c.engine.Worke
 // rounded up to a power of two).
 func WithShards(n int) Option { return func(c *pipelineConfig) { c.engine.Shards = n } }
 
-// WithInboxSize sets the per-node inbox buffer, the unit backpressure is
-// measured in.
+// WithInboxSize sets the unit backpressure is measured in: without
+// WithMaxPending, a pipeline admits up to InboxSize × nodes in-flight
+// batches. Node queues themselves are unbounded FIFOs.
 func WithInboxSize(n int) Option { return func(c *pipelineConfig) { c.engine.InboxSize = n } }
 
 // WithMaxFanout caps join results per probe (0 = unlimited).
