@@ -20,31 +20,36 @@ import (
 
 // partialsPool recycles the partial-result slices that carry batches between
 // stages; joins grow them, so pooling the backing arrays cuts most of the
-// engine's steady-state allocation.
-var partialsPool = sync.Pool{New: func() any {
-	s := make([]*stream.Joined, 0, 256)
-	return &s
-}}
+// engine's steady-state allocation. The pool stores *[]*stream.Joined
+// holders; holderPool keeps the emptied holders between a get and the next
+// put, so a round trip moves the slice header without allocating one.
+var (
+	partialsPool = sync.Pool{New: func() any {
+		s := make([]*stream.Joined, 0, 256)
+		return &s
+	}}
+	holderPool = sync.Pool{New: func() any { return new([]*stream.Joined) }}
+)
 
 func getPartials() []*stream.Joined {
-	return (*partialsPool.Get().(*[]*stream.Joined))[:0]
+	h := partialsPool.Get().(*[]*stream.Joined)
+	s := *h
+	*h = nil
+	holderPool.Put(h)
+	return s[:0]
 }
 
-// putPooled clears a scratch slice to its full capacity and returns it to
-// the pool. Clearing must cover the capacity, not just the length: in-place
-// filtering can leave stale references beyond len, and pooled arrays must
-// not pin tuples past their window life.
-func putPooled[T any](p *sync.Pool, s *[]T) {
-	buf := (*s)[:cap(*s)]
-	var zero T
-	for i := range buf {
-		buf[i] = zero
-	}
-	*s = buf[:0]
-	p.Put(s)
+// putPartials clears s to its full capacity and returns it to the pool.
+// Clearing must cover the capacity, not just the length: in-place filtering
+// can leave stale references beyond len, and pooled arrays must not pin
+// tuples past their window life.
+func putPartials(s []*stream.Joined) {
+	s = s[:cap(s)]
+	clear(s)
+	h := holderPool.Get().(*[]*stream.Joined)
+	*h = s[:0]
+	partialsPool.Put(h)
 }
-
-func putPartials(s []*stream.Joined) { putPooled(&partialsPool, &s) }
 
 // shardScratch is the pooled per-batch workspace for the vectorized shard
 // paths: counting-sort arrays that group rows (inserts) or partials (probes)

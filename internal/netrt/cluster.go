@@ -1,6 +1,7 @@
 package netrt
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -71,6 +72,12 @@ type workerProc struct {
 	// callMu serializes RPC use of the connection (one request/response
 	// in flight per worker, matching the worker's single-threaded loop).
 	callMu sync.Mutex
+	// frame is the scratch stage and insert requests are built in, in
+	// place behind a reserved header (beginFrame/sendFrame), so a hop's
+	// request costs no allocation once the buffer has grown to the
+	// workload's frame size. A request's bytes are valid until the next
+	// call on this worker: anything kept past the call is copied out.
+	frame enc //rldlint:guardedby callMu
 
 	mu sync.Mutex // guards everything below
 	// gen increments on every (re)spawn; stale exit/error handlers carry
@@ -82,8 +89,8 @@ type workerProc struct {
 	// down marks a severed worker: no connection, RPCs refuse with
 	// ErrWorkerDown until Respawn.
 	down bool
-	// unacked (durable mode only) retains the encoded frameInsert payload
-	// of every window insert the worker has not acknowledged — inserts
+	// unacked (durable mode only) retains a copy of the frameInsert request
+	// frame of every window insert the worker has not acknowledged — inserts
 	// attempted while the worker was down, or whose RPC died mid-call.
 	// Respawn re-offers them on the fresh process before it goes live (and
 	// drops them under LoseState); the worker's insert-time dedup absorbs
@@ -390,9 +397,17 @@ func (c *Cluster) lost(wp *workerProc, gen uint64) {
 }
 
 // rpc performs one request/response exchange on wc under the call timeout.
-func (c *Cluster) rpc(wc *wireConn, t frameType, payload []byte) (frameType, []byte, error) {
+// The request is a frame built in place (beginFrame), or nil for an empty
+// one; its buffer stays the caller's.
+func (c *Cluster) rpc(wc *wireConn, t frameType, frame []byte) (frameType, []byte, error) {
 	wc.c.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
-	if err := wc.writeFrame(t, payload); err != nil {
+	var err error
+	if frame == nil {
+		err = wc.writeFrame(t, nil)
+	} else {
+		err = wc.sendFrame(t, frame)
+	}
+	if err != nil {
 		return 0, nil, err
 	}
 	rt, rp, err := wc.readFrame()
@@ -415,8 +430,8 @@ func (c *Cluster) rpc(wc *wireConn, t frameType, payload []byte) (frameType, []b
 }
 
 // rpcOK performs one exchange on wc that must be acknowledged with frameOK.
-func (c *Cluster) rpcOK(wc *wireConn, t frameType, payload []byte) error {
-	rt, _, err := c.rpc(wc, t, payload)
+func (c *Cluster) rpcOK(wc *wireConn, t frameType, frame []byte) error {
+	rt, _, err := c.rpc(wc, t, frame)
 	if err == nil && rt != frameOK {
 		err = fmt.Errorf("%w: want ok, got frame %d", ErrBadFrame, rt)
 	}
@@ -425,7 +440,7 @@ func (c *Cluster) rpcOK(wc *wireConn, t frameType, payload []byte) error {
 
 // call performs one RPC against wp's live connection, returning the
 // worker generation it used so error handlers can fence their sever.
-func (c *Cluster) call(wp *workerProc, t frameType, payload []byte) (frameType, []byte, uint64, error) {
+func (c *Cluster) call(wp *workerProc, t frameType, frame []byte) (frameType, []byte, uint64, error) {
 	wp.callMu.Lock()
 	defer wp.callMu.Unlock()
 	wp.mu.Lock()
@@ -434,15 +449,15 @@ func (c *Cluster) call(wp *workerProc, t frameType, payload []byte) (frameType, 
 	if down || wc == nil {
 		return 0, nil, gen, ErrWorkerDown
 	}
-	rt, rp, err := c.rpc(wc, t, payload)
+	rt, rp, err := c.rpc(wc, t, frame)
 	return rt, rp, gen, err
 }
 
 // callOK performs one RPC that must be answered with a want frame. Any
 // other outcome on a live worker loses it; a down worker just refuses
 // with ErrWorkerDown.
-func (c *Cluster) callOK(wp *workerProc, t frameType, payload []byte, want frameType) ([]byte, error) {
-	rt, rp, gen, err := c.call(wp, t, payload)
+func (c *Cluster) callOK(wp *workerProc, t frameType, frame []byte, want frameType) ([]byte, error) {
+	rt, rp, gen, err := c.call(wp, t, frame)
 	if err == nil && rt != want {
 		err = fmt.Errorf("%w: want frame %d, got frame %d", ErrBadFrame, want, rt)
 	}
@@ -460,22 +475,23 @@ func (c *Cluster) callOK(wp *workerProc, t frameType, payload []byte, want frame
 // leader park or lose the full message exactly as with a single-frame hop.
 func (c *Cluster) callStage(wp *workerProc, op int, partials []*stream.Joined) (out []*stream.Joined, in, hit int64, gen uint64, err error) {
 	sch := c.core.Schema()
-	chunks := splitPartials(sch, partials, c.cfg.MaxStageChunk)
-	if chunks == nil {
-		chunks = [][]*stream.Joined{nil} // empty hop still runs the stage
-	}
 	out = c.core.NewPartials()
-	for _, ch := range chunks {
+	// An empty hop is one empty chunk: it still runs the stage.
+	for start := 0; ; {
+		end := chunkEnd(sch, partials, start, c.cfg.MaxStageChunk)
 		var dIn, dHit int64
-		out, dIn, dHit, gen, err = c.callStageChunk(wp, op, ch, out)
+		out, dIn, dHit, gen, err = c.callStageChunk(wp, op, partials[start:end], out)
 		if err != nil {
 			c.core.ReleasePartials(out)
 			return nil, 0, 0, gen, err
 		}
 		in += dIn
 		hit += dHit
+		if end == len(partials) {
+			return out, in, hit, gen, nil
+		}
+		start = end
 	}
-	return out, in, hit, gen, nil
 }
 
 // callStageChunk performs one stage RPC and appends the decoded survivors
@@ -495,11 +511,14 @@ func (c *Cluster) callStageChunk(wp *workerProc, op int, ps, dst []*stream.Joine
 	if down || wc == nil {
 		return dst, 0, 0, gen, ErrWorkerDown
 	}
-	var e enc
+	e := &wp.frame
+	beginFrame(e)
 	e.U16(uint16(op))
-	encodePartials(&e, sch, ps)
+	encodePartials(e, sch, ps)
 	wc.c.SetDeadline(time.Now().Add(c.cfg.CallTimeout))
-	if err := wc.writeFrame(frameStage, e.B); err != nil {
+	err = wc.sendFrame(frameStage, e.B)
+	trimFrame(e)
+	if err != nil {
 		return dst, 0, 0, gen, err
 	}
 	for {
@@ -513,14 +532,14 @@ func (c *Cluster) callStageChunk(wp *workerProc, op int, ps, dst []*stream.Joine
 		d := dec{B: payload}
 		switch t {
 		case frameStagePart:
-			dst, rerr = decodePartials(&d, sch, dst)
+			dst, rerr = decodePartials(&d, sch, dst, &wc.vals)
 			if rerr != nil {
 				return dst, 0, 0, gen, rerr
 			}
 		case frameStageResult:
 			selIn = d.I64()
 			selOut = d.I64()
-			dst, rerr = decodePartials(&d, sch, dst)
+			dst, rerr = decodePartials(&d, sch, dst, &wc.vals)
 			if rerr != nil {
 				return dst, 0, 0, gen, rerr
 			}
@@ -552,44 +571,75 @@ func (c *Cluster) Launch(*engine.Leader) {
 // worker (batch columns straight onto the wire). Inserts to down workers
 // are skipped — recovery restores from the last checkpoint anyway, exactly
 // the tuples the in-process engine also loses — except in durable mode,
-// where they queue as unacked payloads for Respawn to re-offer, as does a
+// where they queue as unacked requests for Respawn to re-offer, as does a
 // call that dies mid-RPC (the worker may or may not have logged it; its
 // dedup disambiguates). Never fails.
 func (c *Cluster) InsertWindows(b *stream.Batch, assign physical.Assignment) error {
-	for node, wp := range c.workers {
-		var ops []int
-		for op, hn := range assign {
-			if hn == node && c.q.Ops[op].Kind == query.Join && c.q.Ops[op].Stream == b.Stream {
-				ops = append(ops, op)
-			}
-		}
-		if len(ops) == 0 {
+	for _, wp := range c.workers {
+		if !c.hostsWindow(assign, wp.node, b.Stream) {
 			continue
 		}
-		var e enc
-		e.U16(uint16(len(ops)))
-		for _, op := range ops {
-			e.U16(uint16(op))
-		}
-		encodeBatch(&e, b)
-		if c.durable() {
-			wp.mu.Lock()
-			down := wp.down
-			if down {
-				wp.unacked = append(wp.unacked, e.B)
-			}
-			wp.mu.Unlock()
-			if down {
-				continue
-			}
-		}
-		if _, err := c.callOK(wp, frameInsert, e.B, frameOK); err != nil && c.durable() {
-			wp.mu.Lock()
-			wp.unacked = append(wp.unacked, e.B)
-			wp.mu.Unlock()
+		if gen, err := c.callInsert(wp, b, assign); err != nil && !isDownErr(err) {
+			c.lost(wp, gen)
 		}
 	}
 	return nil
+}
+
+// feedsWindow reports whether batches of stream name insert into op's
+// window on node: op is a join on that stream placed there.
+func (c *Cluster) feedsWindow(assign physical.Assignment, op, node int, name string) bool {
+	return assign[op] == node && c.q.Ops[op].Kind == query.Join && c.q.Ops[op].Stream == name
+}
+
+// hostsWindow reports whether any operator on node has a window that
+// batches of stream name insert into.
+func (c *Cluster) hostsWindow(assign physical.Assignment, node int, name string) bool {
+	for op := range assign {
+		if c.feedsWindow(assign, op, node, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// callInsert sends b to the windows on wp's node it feeds: one frameInsert
+// built in wp's frame scratch, op ids first, then the batch columns. In
+// durable mode a request the worker has not acknowledged — it is down, or
+// the call failed — is retained as a copy for Respawn to re-offer; the
+// down check and the retention share one wp.mu section, so a concurrent
+// Respawn either sees the request or was already live.
+func (c *Cluster) callInsert(wp *workerProc, b *stream.Batch, assign physical.Assignment) (gen uint64, err error) {
+	wp.callMu.Lock()
+	defer wp.callMu.Unlock()
+	e := &wp.frame
+	defer trimFrame(e)
+	beginFrame(e)
+	e.U16(0) // op count, patched once the ops are written
+	nOps := 0
+	for op := range assign {
+		if c.feedsWindow(assign, op, wp.node, b.Stream) {
+			e.U16(uint16(op))
+			nOps++
+		}
+	}
+	binary.LittleEndian.PutUint16(e.B[frameHeader:], uint16(nOps))
+	encodeBatch(e, b)
+	wp.mu.Lock()
+	wc, down, gen := wp.wc, wp.down, wp.gen
+	if (down || wc == nil) && c.durable() {
+		wp.unacked = append(wp.unacked, append([]byte(nil), e.B...))
+	}
+	wp.mu.Unlock()
+	if down || wc == nil {
+		return gen, ErrWorkerDown
+	}
+	if err = c.rpcOK(wc, frameInsert, e.B); err != nil && c.durable() {
+		wp.mu.Lock()
+		wp.unacked = append(wp.unacked, append([]byte(nil), e.B...))
+		wp.mu.Unlock()
+	}
+	return gen, err
 }
 
 // RunStage implements engine.Transport: one stage RPC, then, under a
@@ -619,6 +669,7 @@ func (c *Cluster) RunStage(node, op int, partials []*stream.Joined) ([]*stream.J
 // from a worker (nil when the worker is down or fails mid-call).
 func (c *Cluster) Snapshot(node, op int) *stream.Batch {
 	var e enc
+	beginFrame(&e)
 	e.U16(uint16(op))
 	payload, err := c.callOK(c.workers[node], frameSnapshot, e.B, frameSnapshotResult)
 	if err != nil {
@@ -635,9 +686,10 @@ func (c *Cluster) Snapshot(node, op int) *stream.Batch {
 	return b
 }
 
-// restorePayload encodes a frameRestore request (a nil snap clears op).
-func restorePayload(op int, snap *stream.Batch) []byte {
+// restoreFrame builds a frameRestore request (a nil snap clears op).
+func restoreFrame(op int, snap *stream.Batch) []byte {
 	var e enc
+	beginFrame(&e)
 	e.U16(uint16(op))
 	if snap != nil {
 		e.U8(1)
@@ -659,7 +711,7 @@ func (c *Cluster) Move(op, from, to int, saved *stream.Batch) {
 		snap = saved
 	}
 	if snap != nil {
-		_, _ = c.callOK(c.workers[to], frameRestore, restorePayload(op, snap), frameOK)
+		_, _ = c.callOK(c.workers[to], frameRestore, restoreFrame(op, snap), frameOK)
 	}
 }
 
@@ -696,7 +748,7 @@ func (c *Cluster) Respawn(node int, mode chaos.RecoveryMode, ops []int, snaps []
 	}
 	if mode == chaos.Checkpoint && snaps != nil {
 		for _, op := range ops {
-			if err := c.rpcOK(wc, frameRestore, restorePayload(op, snaps[op])); err != nil {
+			if err := c.rpcOK(wc, frameRestore, restoreFrame(op, snaps[op])); err != nil {
 				return abort("restore op", err)
 			}
 		}
@@ -719,8 +771,8 @@ func (c *Cluster) Respawn(node int, mode chaos.RecoveryMode, ops []int, snaps []
 			if len(unacked) == 0 {
 				break
 			}
-			for i, payload := range unacked {
-				if err := c.rpcOK(wc, frameInsert, payload); err != nil {
+			for i, frame := range unacked {
+				if err := c.rpcOK(wc, frameInsert, frame); err != nil {
 					// Put the undelivered tail back for the next attempt.
 					wp.mu.Lock()
 					wp.unacked = append(unacked[i:], wp.unacked...)
@@ -744,10 +796,10 @@ func (c *Cluster) Respawn(node int, mode chaos.RecoveryMode, ops []int, snaps []
 	if mode != chaos.Checkpoint {
 		stragglers = nil
 	}
-	for _, payload := range stragglers {
-		if _, err := c.callOK(wp, frameInsert, payload, frameOK); err != nil {
+	for _, frame := range stragglers {
+		if _, err := c.callOK(wp, frameInsert, frame, frameOK); err != nil {
 			wp.mu.Lock()
-			wp.unacked = append(wp.unacked, payload)
+			wp.unacked = append(wp.unacked, frame)
 			wp.mu.Unlock()
 		}
 	}

@@ -12,6 +12,16 @@
 // hop. Crash here is a literal SIGKILL of the worker process, and Recover
 // respawns it with a checkpoint restore — the chaos conformance tests run
 // against real process death.
+//
+// A steady-state hop allocates nothing on either end. Each connection end
+// reuses its buffers: the leader builds every stage and insert request in
+// place in its workerProc's frame scratch, which only the holder of that
+// worker's callMu touches; the worker builds replies in its serve loop's
+// reply buffer and decodes inserts into a reused batch; and both read into
+// the wireConn's payload scratch, valid until the next frame is read. Any
+// buffer a frame grows past maxRetainedFrame is dropped after use. A
+// request the leader must keep past its call — an unacknowledged durable
+// insert retained for re-offer — is copied out of the scratch.
 package netrt
 
 import (
@@ -44,6 +54,16 @@ const (
 	// keeps every individual frame small no matter how large a logical
 	// hop grows.
 	DefaultStageChunk = 8 << 20
+	// maxRetainedFrame bounds the frame buffers a connection end keeps
+	// between frames: one default stage chunk plus its frame's fixed
+	// fields. A larger frame (a snapshot or restore payload, one oversized
+	// partial) travels in a buffer of its own that is dropped after use, so
+	// a single big transfer does not pin up to MaxFrame for the life of the
+	// connection.
+	maxRetainedFrame = DefaultStageChunk + 1<<10
+	// frameHeader is the size of a frame header: u32 little-endian payload
+	// length, then the u8 frame type.
+	frameHeader = 5
 )
 
 // Typed wire-protocol errors: every malformed input the protocol can see
@@ -133,13 +153,25 @@ func codeToError(code byte, msg string) error {
 }
 
 // wireConn wraps one TCP connection with buffered framed I/O and reusable
-// encode/decode scratch. Not safe for concurrent use; callers serialize
-// (the leader holds a per-worker call mutex, the worker is single-threaded).
+// decode scratch. Not safe for concurrent use; callers serialize (the
+// leader holds the worker's callMu for every exchange, the worker loop is
+// single-threaded).
+//
+// Buffer ownership: a payload readFrame returns aliases buf and is valid
+// until the next readFrame on the connection; vals is decodePartials'
+// per-part value scratch for partials decoded off this connection. Outgoing
+// frames are built by their sender — the leader in its workerProc's frame
+// scratch (guarded by callMu), the worker in its serve loop's reply
+// buffer — and sendFrame writes them without copying. Every retained
+// buffer stays within maxRetainedFrame.
 type wireConn struct {
-	c   net.Conn
-	r   *bufio.Reader
-	w   *bufio.Writer
-	buf []byte // read payload scratch, reused across frames
+	c    net.Conn
+	r    *bufio.Reader
+	w    *bufio.Writer
+	buf  []byte            // read payload scratch, reused across frames
+	vals []float64         // decodePartials value scratch
+	rhdr [frameHeader]byte // readFrame's header scratch
+	whdr [frameHeader]byte // writeFrame's header scratch
 }
 
 func newWireConn(c net.Conn) *wireConn {
@@ -156,16 +188,48 @@ func (wc *wireConn) writeFrame(t frameType, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("%w: %d bytes (max %d)", ErrFrameTooLarge, len(payload), MaxFrame)
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = byte(t)
-	if _, err := wc.w.Write(hdr[:]); err != nil {
+	putHeader(wc.whdr[:], t, len(payload))
+	if _, err := wc.w.Write(wc.whdr[:]); err != nil {
 		return err
 	}
 	if _, err := wc.w.Write(payload); err != nil {
 		return err
 	}
 	return wc.w.Flush()
+}
+
+// putHeader writes a frame header for a payload of n bytes into hdr.
+func putHeader(hdr []byte, t frameType, n int) {
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(n))
+	hdr[4] = byte(t)
+}
+
+// beginFrame resets e to an empty outgoing frame built in place: frameHeader
+// reserved bytes, which sendFrame fills in once the payload has been
+// encoded after them.
+func beginFrame(e *enc) { e.B = append(e.B[:0], make([]byte, frameHeader)...) }
+
+// sendFrame patches the header of a frame built with beginFrame and sends
+// it with one Write, refusing an oversized payload exactly as writeFrame
+// does. The frame's buffer stays the caller's.
+func (wc *wireConn) sendFrame(t frameType, frame []byte) error {
+	n := len(frame) - frameHeader
+	if n > MaxFrame {
+		return fmt.Errorf("%w: %d bytes (max %d)", ErrFrameTooLarge, n, MaxFrame)
+	}
+	putHeader(frame, t, n)
+	if _, err := wc.w.Write(frame); err != nil {
+		return err
+	}
+	return wc.w.Flush()
+}
+
+// trimFrame drops a frame buffer that grew past maxRetainedFrame, so the
+// next frame starts small again.
+func trimFrame(e *enc) {
+	if cap(e.B) > maxRetainedFrame {
+		e.B = nil
+	}
 }
 
 // writeError best-effort sends a typed error frame (used just before
@@ -180,20 +244,30 @@ func (wc *wireConn) writeError(err error) {
 // readFrame reads one frame. A connection ending cleanly between frames
 // returns io.EOF; ending mid-frame returns ErrTruncatedFrame; a length
 // beyond MaxFrame returns ErrFrameTooLarge without reading the payload.
-// The returned payload aliases the connection's scratch buffer and is valid
-// until the next readFrame.
+// The returned payload is valid until the next readFrame: it aliases the
+// connection's scratch buffer, except for a frame beyond maxRetainedFrame,
+// which gets a buffer of its own that grows as its bytes arrive.
 func (wc *wireConn) readFrame() (frameType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(wc.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(wc.r, wc.rhdr[:]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("%w: header: %v", ErrTruncatedFrame, err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	t := frameType(hdr[4])
+	n := binary.LittleEndian.Uint32(wc.rhdr[:4])
+	t := frameType(wc.rhdr[4])
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: %d bytes (max %d)", ErrFrameTooLarge, n, MaxFrame)
+	}
+	if n > maxRetainedFrame {
+		payload, err := io.ReadAll(io.LimitReader(wc.r, int64(n)))
+		if err == nil && len(payload) < int(n) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return 0, nil, fmt.Errorf("%w: payload: %v", ErrTruncatedFrame, err)
+		}
+		return t, payload, nil
 	}
 	if cap(wc.buf) < int(n) {
 		wc.buf = make([]byte, n)
@@ -296,32 +370,31 @@ func partialWireSize(sch *stream.JoinSchema, p *stream.Joined) int {
 	return n
 }
 
-// splitPartials partitions ps into consecutive runs whose encodePartials
-// payloads each stay within limit (plus the 4-byte count header). A single
-// partial larger than limit still gets its own chunk — writeFrame's
-// MaxFrame check is the hard stop. Order is preserved; an empty input
-// yields no chunks.
-func splitPartials(sch *stream.JoinSchema, ps []*stream.Joined, limit int) [][]*stream.Joined {
-	if len(ps) == 0 {
-		return nil
-	}
-	var chunks [][]*stream.Joined
-	start, size := 0, 0
-	for i, p := range ps {
-		s := partialWireSize(sch, p)
+// chunkEnd returns the end of the stage chunk of ps that starts at start:
+// the longest run ps[start:end] whose encodePartials payload stays within
+// limit (plus the 4-byte count header). A single partial larger than limit
+// still forms a chunk of its own — the MaxFrame check on send is the hard
+// stop. Walking start → chunkEnd → … covers ps in order; chunkEnd(len(ps))
+// is len(ps).
+func chunkEnd(sch *stream.JoinSchema, ps []*stream.Joined, start, limit int) int {
+	size := 0
+	for i := start; i < len(ps); i++ {
+		s := partialWireSize(sch, ps[i])
 		if i > start && size+s > limit {
-			chunks = append(chunks, ps[start:i])
-			start, size = i, 0
+			return i
 		}
 		size += s
 	}
-	return append(chunks, ps[start:])
+	return len(ps)
 }
 
-// decodePartials rebuilds partials into dst (pass an empty pooled slice).
-// Parts are applied in ascending slot order, which reproduces the Ts=max /
-// Arrival=min aggregates SetPart folds exactly as the sender computed them.
-func decodePartials(d *dec, sch *stream.JoinSchema, dst []*stream.Joined) ([]*stream.Joined, error) {
+// decodePartials rebuilds partials into dst (pass an empty pooled slice),
+// staging each part's payload values in *vals, a scratch reused across
+// calls (SetPart copies them). Parts are applied in ascending slot order,
+// which reproduces the Ts=max / Arrival=min aggregates SetPart folds
+// exactly as the sender computed them. On error dst holds the partials
+// decoded before the failure.
+func decodePartials(d *dec, sch *stream.JoinSchema, dst []*stream.Joined, vals *[]float64) ([]*stream.Joined, error) {
 	n := int(d.U32())
 	if d.Err != nil {
 		return dst, d.Err
@@ -330,7 +403,6 @@ func decodePartials(d *dec, sch *stream.JoinSchema, dst []*stream.Joined) ([]*st
 	if uint64(n)*8 > uint64(len(d.B)) {
 		return dst, fmt.Errorf("%w: partial count exceeds payload", ErrBadFrame)
 	}
-	var vals []float64
 	for i := 0; i < n; i++ {
 		mask := d.U64()
 		if mask>>uint(sch.Len()) != 0 {
@@ -350,11 +422,12 @@ func decodePartials(d *dec, sch *stream.JoinSchema, dst []*stream.Joined) ([]*st
 				d.Fail()
 				break
 			}
-			vals = vals[:0]
+			vs := (*vals)[:0]
 			for v := 0; v < nv; v++ {
-				vals = append(vals, d.F64())
+				vs = append(vs, d.F64())
 			}
-			j.SetPart(slot, seq, ts, key, arr, vals)
+			*vals = vs
+			j.SetPart(slot, seq, ts, key, arr, vs)
 		}
 		if d.Err != nil {
 			j.Release()

@@ -186,7 +186,8 @@ func TestPartialsRoundTrip(t *testing.T) {
 	var e enc
 	encodePartials(&e, sch, []*stream.Joined{p})
 	d := dec{B: e.B}
-	out, err := decodePartials(&d, sch, nil)
+	var vals []float64
+	out, err := decodePartials(&d, sch, nil, &vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +210,22 @@ func TestPartialsRoundTrip(t *testing.T) {
 	p.Release()
 }
 
-// TestSplitPartials pins the stage-chunking invariants: order-preserving
-// consecutive runs, every multi-partial chunk within the byte limit, a
-// partial larger than the limit still traveling alone, and no chunks for
-// an empty input.
-func TestSplitPartials(t *testing.T) {
+// chunkBounds walks ps with chunkEnd and returns each chunk's [start, end).
+func chunkBounds(sch *stream.JoinSchema, ps []*stream.Joined, limit int) [][2]int {
+	var out [][2]int
+	for start := 0; start < len(ps); {
+		end := chunkEnd(sch, ps, start, limit)
+		out = append(out, [2]int{start, end})
+		start = end
+	}
+	return out
+}
+
+// TestChunkEnd pins the stage-chunking invariants: consecutive non-empty
+// runs that cover the input in order, every multi-partial chunk within the
+// byte limit, a partial larger than the limit still traveling alone, and
+// no chunks for an empty input.
+func TestChunkEnd(t *testing.T) {
 	sch := stream.NewJoinSchema([]string{"S1", "S2"})
 	mk := func(key int64) *stream.Joined {
 		j := sch.Acquire()
@@ -229,37 +241,37 @@ func TestSplitPartials(t *testing.T) {
 		t.Fatalf("partialWireSize = %d, want > 8", per)
 	}
 
-	if got := splitPartials(sch, nil, 1024); got != nil {
+	if got := chunkEnd(sch, nil, 0, 1024); got != 0 {
+		t.Fatalf("empty input: chunk ends at %d", got)
+	}
+	if got := chunkBounds(sch, nil, 1024); len(got) != 0 {
 		t.Fatalf("empty input split into %d chunks", len(got))
 	}
-	if got := splitPartials(sch, ps, 1<<20); len(got) != 1 || len(got[0]) != 10 {
-		t.Fatalf("roomy limit split into %d chunks", len(got))
+	if got := chunkBounds(sch, ps, 1<<20); len(got) != 1 || got[0] != [2]int{0, 10} {
+		t.Fatalf("roomy limit split into %v", got)
 	}
 
 	limit := 3 * per
-	chunks := splitPartials(sch, ps, limit)
-	var flat []*stream.Joined
-	for _, ch := range chunks {
+	next := 0
+	for _, b := range chunkBounds(sch, ps, limit) {
+		if b[0] != next || b[1] <= b[0] {
+			t.Fatalf("chunk %v does not continue at %d", b, next)
+		}
 		size := 0
-		for _, p := range ch {
+		for _, p := range ps[b[0]:b[1]] {
 			size += partialWireSize(sch, p)
 		}
-		if len(ch) > 1 && size > limit {
-			t.Fatalf("chunk of %d partials encodes to %d bytes (limit %d)", len(ch), size, limit)
+		if b[1]-b[0] > 1 && size > limit {
+			t.Fatalf("chunk of %d partials encodes to %d bytes (limit %d)", b[1]-b[0], size, limit)
 		}
-		flat = append(flat, ch...)
+		next = b[1]
 	}
-	if len(flat) != len(ps) {
-		t.Fatalf("chunks cover %d partials, want %d", len(flat), len(ps))
-	}
-	for i := range flat {
-		if flat[i] != ps[i] {
-			t.Fatalf("chunking reordered partial %d", i)
-		}
+	if next != len(ps) {
+		t.Fatalf("chunks cover %d partials, want %d", next, len(ps))
 	}
 
 	// A single partial beyond the limit still gets its own chunk.
-	tight := splitPartials(sch, ps[:3], 1)
+	tight := chunkBounds(sch, ps[:3], 1)
 	if len(tight) != 3 {
 		t.Fatalf("limit 1 split 3 partials into %d chunks, want one each", len(tight))
 	}
@@ -294,7 +306,8 @@ func TestDecodePartialsBadMask(t *testing.T) {
 	e.U32(1)
 	e.U64(1 << 5) // slot 5 of a 2-slot schema
 	d := dec{B: e.B}
-	if _, err := decodePartials(&d, sch, nil); !errors.Is(err, ErrBadFrame) {
+	var vals []float64
+	if _, err := decodePartials(&d, sch, nil, &vals); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("got %v, want ErrBadFrame", err)
 	}
 }

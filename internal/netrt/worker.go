@@ -11,8 +11,8 @@ import (
 
 	"rld/internal/engine"
 	"rld/internal/query"
-	"rld/internal/stream"
 	"rld/internal/wal"
+	"rld/internal/wire"
 )
 
 // setupMsg is the Welcome payload: everything a worker needs to build its
@@ -102,10 +102,20 @@ func RunWorker(leaderAddr string, node int, epoch uint64) error {
 // before they touch window state, so the log always covers at least what
 // the windows hold and a SIGKILL at any instant loses nothing the leader
 // saw acknowledged.
+//
+// The loop reuses its buffers across requests: reply frames are built in
+// place in reply, and inserts decode into reused op ids and batches, which
+// is safe because NodeCore.Insert copies the rows and wal.Append encodes
+// them before returning.
 func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error {
 	sch := core.Schema()
-	var reply enc
+	var (
+		reply   enc
+		ops     []int
+		batches wire.BatchDecoder
+	)
 	for {
+		trimFrame(&reply)
 		t, payload, err := wc.readFrame()
 		if err != nil {
 			if err == io.EOF {
@@ -114,15 +124,15 @@ func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error 
 			return err
 		}
 		d := dec{B: payload}
-		reply.B = reply.B[:0]
+		beginFrame(&reply)
 		switch t {
 		case frameInsert:
 			nOps := int(d.U16())
-			ops := make([]int, 0, nOps)
+			ops = ops[:0]
 			for i := 0; i < nOps; i++ {
 				ops = append(ops, int(d.U16()))
 			}
-			b, derr := decodeBatch(&d)
+			b, derr := batches.Decode(&d)
 			if derr != nil {
 				wc.writeError(derr)
 				return derr
@@ -152,7 +162,7 @@ func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error 
 			}
 		case frameStage:
 			op := int(d.U16())
-			partials, derr := decodePartials(&d, sch, core.NewPartials())
+			partials, derr := decodePartials(&d, sch, core.NewPartials(), &wc.vals)
 			if derr != nil {
 				core.ReleasePartials(partials)
 				wc.writeError(derr)
@@ -164,32 +174,32 @@ func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error 
 				return perr
 			}
 			// Join fanout can multiply the input far past MaxFrame, so the
-			// reply is split: every segment but the last travels as a
+			// reply is split: every chunk but the last travels as a
 			// frameStagePart, and the final frameStageResult carries this
-			// call's selectivity sample plus the tail segment. The sample
+			// call's selectivity sample plus the tail chunk. The sample
 			// is a delta, not a running total: the leader accumulates it,
 			// so it survives this process's respawn or the operator's
 			// migration.
-			segs := splitPartials(sch, out, chunk)
-			for len(segs) > 1 {
-				reply.B = reply.B[:0]
-				encodePartials(&reply, sch, segs[0])
-				if err := wc.writeFrame(frameStagePart, reply.B); err != nil {
+			start := 0
+			for {
+				end := chunkEnd(sch, out, start, chunk)
+				if end == len(out) {
+					break
+				}
+				beginFrame(&reply)
+				encodePartials(&reply, sch, out[start:end])
+				if err := wc.sendFrame(frameStagePart, reply.B); err != nil {
 					core.ReleasePartials(out)
 					return err
 				}
-				segs = segs[1:]
+				start = end
 			}
-			var tail []*stream.Joined
-			if len(segs) == 1 {
-				tail = segs[0]
-			}
-			reply.B = reply.B[:0]
+			beginFrame(&reply)
 			reply.I64(selIn)
 			reply.I64(selOut)
-			encodePartials(&reply, sch, tail)
+			encodePartials(&reply, sch, out[start:])
 			core.ReleasePartials(out)
-			if err := wc.writeFrame(frameStageResult, reply.B); err != nil {
+			if err := wc.sendFrame(frameStageResult, reply.B); err != nil {
 				return err
 			}
 		case frameSnapshot:
@@ -209,7 +219,7 @@ func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error 
 			} else {
 				reply.U8(0)
 			}
-			if err := wc.writeFrame(frameSnapshotResult, reply.B); err != nil {
+			if err := wc.sendFrame(frameSnapshotResult, reply.B); err != nil {
 				return err
 			}
 		case frameRestore:
@@ -293,7 +303,7 @@ func serve(wc *wireConn, core *engine.NodeCore, chunk int, wlog *wal.Log) error 
 				return rerr
 			}
 			reply.U64(count)
-			if err := wc.writeFrame(frameOK, reply.B); err != nil {
+			if err := wc.sendFrame(frameOK, reply.B); err != nil {
 				return err
 			}
 		case framePing:

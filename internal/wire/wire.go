@@ -119,13 +119,17 @@ func (d *Dec) I64() int64 { return int64(d.U64()) }
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Str consumes a u32-length-prefixed string.
-func (d *Dec) Str() string {
+func (d *Dec) Str() string { return string(d.Take(int(d.strLen()))) }
+
+// strLen consumes a string's u32 length prefix, latching Err when the
+// remaining payload cannot hold that many bytes.
+func (d *Dec) strLen() uint32 {
 	n := d.U32()
 	if d.Err != nil || uint64(n) > uint64(len(d.B)) {
 		d.Fail()
-		return ""
+		return 0
 	}
-	return string(d.Take(int(n)))
+	return n
 }
 
 // EncodeBatch appends b's columns: stream name, width, row count, the four
@@ -150,11 +154,51 @@ func EncodeBatch(e *Enc, b *stream.Batch) {
 	}
 }
 
-// DecodeBatch rebuilds a batch from the payload (a fresh allocation —
-// decoded batches feed window inserts, which copy, so pooling buys nothing
-// here).
+// DecodeBatch rebuilds a batch from the payload into a fresh allocation the
+// caller owns outright — the form for batches that outlive the payload
+// (snapshots, restores, WAL replay records). A consumer that copies the rows
+// out before decoding the next batch uses a BatchDecoder instead.
 func DecodeBatch(d *Dec) (*stream.Batch, error) {
-	name := d.Str()
+	return decodeBatch(d, func(name []byte, w, n int) *stream.Batch {
+		return stream.NewSizedBatch(string(name), w, n)
+	})
+}
+
+// BatchDecoder decodes batches into reused storage: one batch per stream
+// name, overwritten by the next decode of that stream, so a steady stream of
+// same-shaped batches decodes without allocating. A decoded batch is valid
+// until the next Decode; it suits consumers that copy the rows out before
+// then (window inserts, WAL appends). The zero value is ready to use; not
+// safe for concurrent use.
+type BatchDecoder struct {
+	byStream map[string]*stream.Batch
+}
+
+// Decode decodes the next batch like DecodeBatch, into the reused batch of
+// its stream.
+func (bd *BatchDecoder) Decode(d *Dec) (*stream.Batch, error) {
+	return decodeBatch(d, bd.batchFor)
+}
+
+// batchFor returns the reset batch for stream name with width w, replacing
+// a cached one of another width.
+func (bd *BatchDecoder) batchFor(name []byte, w, n int) *stream.Batch {
+	b := bd.byStream[string(name)]
+	if b == nil || b.Width() != w {
+		b = stream.NewSizedBatch(string(name), w, n)
+		if bd.byStream == nil {
+			bd.byStream = make(map[string]*stream.Batch)
+		}
+		bd.byStream[b.Stream] = b
+	}
+	b.Reset()
+	return b
+}
+
+// decodeBatch decodes one EncodeBatch payload into the empty batch alloc
+// returns for the payload's stream name, width and row count.
+func decodeBatch(d *Dec, alloc func(name []byte, w, n int) *stream.Batch) (*stream.Batch, error) {
+	name := d.Take(int(d.strLen()))
 	w := int(d.U16())
 	n := int(d.U32())
 	if d.Err != nil {
@@ -165,7 +209,7 @@ func DecodeBatch(d *Dec) (*stream.Batch, error) {
 	if uint64(n)*uint64(32+8*w) > uint64(len(d.B)) {
 		return nil, fmt.Errorf("%w: batch rows exceed payload", ErrCorrupt)
 	}
-	b := stream.NewSizedBatch(name, w, n)
+	b := alloc(name, w, n)
 	for i := 0; i < n; i++ {
 		seq := d.U64()
 		ts := stream.Time(d.F64())
