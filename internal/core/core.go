@@ -162,10 +162,9 @@ func (d *Deployment) SupportedPlans() []physical.LogicalPlan {
 	return out
 }
 
-// snapPoint converts a monitor snapshot to a parameter-space point, clamping
-// each dimension into its [Lo, Hi] range.
-func (d *Deployment) snapPoint(snap stats.Snapshot) paramspace.Point {
-	pnt := make(paramspace.Point, d.Space.D())
+// snapPoint writes the parameter-space point of a monitor snapshot into
+// pnt (length Space.D()), clamping each dimension into its [Lo, Hi] range.
+func (d *Deployment) snapPoint(snap stats.Snapshot, pnt paramspace.Point) {
 	for i, dim := range d.Space.Dims {
 		v := dim.Base
 		switch dim.Kind {
@@ -186,14 +185,14 @@ func (d *Deployment) snapPoint(snap stats.Snapshot) paramspace.Point {
 		}
 		pnt[i] = v
 	}
-	return pnt
 }
 
-// gridOf maps a point to the nearest grid coordinates.
-func (d *Deployment) gridOf(pnt paramspace.Point) paramspace.GridPoint {
-	g := make(paramspace.GridPoint, d.Space.D())
+// gridOf writes the grid coordinates nearest to pnt into g (length
+// Space.D()).
+func (d *Deployment) gridOf(pnt paramspace.Point, g paramspace.GridPoint) {
 	for i, dim := range d.Space.Dims {
 		if dim.Hi == dim.Lo {
+			g[i] = 0
 			continue
 		}
 		frac := (pnt[i] - dim.Lo) / (dim.Hi - dim.Lo)
@@ -206,17 +205,25 @@ func (d *Deployment) gridOf(pnt paramspace.Point) paramspace.GridPoint {
 		}
 		g[i] = k
 	}
-	return g
 }
 
 // Classify is the QueryMesh-style online classifier (§3, "robust load
 // executor"): map the latest statistics to a parameter-space point, prefer
 // the supported robust plan whose certified region contains it, and fall
 // back to the cheapest supported plan at that point. Returns the plan and
-// its index into Plans.
+// its index into Plans. Classify is safe for concurrent use; it allocates
+// its two per-call scratch vectors. Policy.PlanFor is the allocation-free
+// path for a single caller.
 func (d *Deployment) Classify(snap stats.Snapshot) (query.Plan, int) {
-	pnt := d.snapPoint(snap)
-	g := d.gridOf(pnt)
+	n := d.Space.D()
+	return d.classify(snap, make(paramspace.Point, n), make(paramspace.GridPoint, n))
+}
+
+// classify implements Classify over caller-owned scratch: pnt and g (each
+// of length Space.D()) receive the snapshot's point and grid coordinates.
+func (d *Deployment) classify(snap stats.Snapshot, pnt paramspace.Point, g paramspace.GridPoint) (query.Plan, int) {
+	d.snapPoint(snap, pnt)
+	d.gridOf(pnt, g)
 	if len(d.Plans) == 0 {
 		// Unreachable via Optimize (it rejects empty solutions), but
 		// keep a safe answer for hand-built deployments.
@@ -237,11 +244,7 @@ func (d *Deployment) Classify(snap stats.Snapshot) (query.Plan, int) {
 	}
 	// Region containment first.
 	for _, i := range supported {
-		rp := d.Logical.PlanByKey(d.Plans[i].Plan.Key())
-		if rp == nil {
-			continue
-		}
-		for _, reg := range rp.Regions {
+		for _, reg := range d.Plans[i].Regions {
 			if reg.Contains(g) {
 				return d.Plans[i].Plan, i
 			}
@@ -289,11 +292,22 @@ func (d *Deployment) ClassifyOverheadWork(batchSize int) float64 {
 type Policy struct {
 	dep          *Deployment
 	classifyWork float64
+	// pnt and g are PlanFor's classification scratch. The runtime.Policy
+	// contract promises a single caller at a time, so one pair serves
+	// every batch.
+	pnt paramspace.Point
+	g   paramspace.GridPoint
 }
 
 // NewPolicy builds the RLD runtime policy for the given ruster size.
 func (d *Deployment) NewPolicy(batchSize int) *Policy {
-	return &Policy{dep: d, classifyWork: d.ClassifyOverheadWork(batchSize)}
+	n := d.Space.D()
+	return &Policy{
+		dep:          d,
+		classifyWork: d.ClassifyOverheadWork(batchSize),
+		pnt:          make(paramspace.Point, n),
+		g:            make(paramspace.GridPoint, n),
+	}
 }
 
 // Name implements runtime.Policy.
@@ -302,9 +316,10 @@ func (p *Policy) Name() string { return "RLD" }
 // Placement implements runtime.Policy.
 func (p *Policy) Placement() physical.Assignment { return p.dep.Physical.Assign.Clone() }
 
-// PlanFor implements runtime.Policy.
+// PlanFor implements runtime.Policy. It classifies like Deployment.Classify
+// but in the policy's own scratch, so it allocates nothing per batch.
 func (p *Policy) PlanFor(_ float64, snap stats.Snapshot) query.Plan {
-	plan, _ := p.dep.Classify(snap)
+	plan, _ := p.dep.classify(snap, p.pnt, p.g)
 	return plan
 }
 

@@ -124,7 +124,8 @@ func TestClassifyTracksStatistics(t *testing.T) {
 		t.Fatalf("classifier ignored statistics: %v vs %v", planLo, planHi)
 	}
 	// The chosen plan must always be ε-competitive at the snap point.
-	pnt := d.snapPoint(lo)
+	pnt := make(paramspace.Point, d.Space.D())
+	d.snapPoint(lo, pnt)
 	best := math.Inf(1)
 	for _, lp := range d.SupportedPlans() {
 		if c := d.Ev.PlanCost(lp.Plan, pnt); c < best {

@@ -90,7 +90,6 @@ type Session struct {
 	// all in-flight admissions (a tick's Drain settles a quiesced
 	// pipeline), while admissions exclude only each other's edges.
 	mu          sync.RWMutex
-	lastPlanKey string
 	nextTick    float64
 	cursor      *chaos.Cursor
 	nextCkpt    float64
@@ -114,6 +113,11 @@ type Session struct {
 	polMu    sync.Mutex
 	pol      runtime.Policy //rldlint:guardedby polMu
 	overhead float64        //rldlint:guardedby polMu
+	// lastPlan is a copy of the last plan the policy chose (a policy may
+	// reuse its returned slice) and lastPlanKey its key, built only when
+	// the plan changes.
+	lastPlan    query.Plan //rldlint:guardedby polMu
+	lastPlanKey string     //rldlint:guardedby polMu
 
 	report *runtime.Report //rldlint:guardedby mu
 }
@@ -189,13 +193,13 @@ func OpenSessionOn(l *Leader, substrate string, pol runtime.Policy, opts Session
 		s.polMu.Lock()
 		defer s.polMu.Unlock()
 		plan := s.pol.PlanFor(s.now(), snap)
-		if plan != nil {
-			if k := plan.Key(); k != s.lastPlanKey {
-				if s.lastPlanKey != "" {
-					s.emit(runtime.Event{Kind: runtime.EventPlanSwitch, T: s.now(), Node: -1, Op: -1, Plan: k})
-				}
-				s.lastPlanKey = k
+		if plan != nil && !plan.Equal(s.lastPlan) {
+			k := plan.Key()
+			if s.lastPlanKey != "" {
+				s.emit(runtime.Event{Kind: runtime.EventPlanSwitch, T: s.now(), Node: -1, Op: -1, Plan: k})
 			}
+			s.lastPlan = append(s.lastPlan[:0], plan...)
+			s.lastPlanKey = k
 		}
 		return plan
 	}))

@@ -11,6 +11,7 @@ import (
 	"rld/internal/physical"
 	"rld/internal/query"
 	"rld/internal/runtime"
+	"rld/internal/stats"
 	"rld/internal/stream"
 )
 
@@ -313,5 +314,64 @@ func TestSessionSwapPolicyValidation(t *testing.T) {
 	}
 	if st := s.Stats(); st.PolicySwaps != 1 || st.Policy != "B" {
 		t.Fatalf("stats after swap: %+v", st)
+	}
+}
+
+// scriptedPolicy returns its script's plans in turn, all through one
+// slice it rewrites in place, as a policy reusing its scratch may.
+type scriptedPolicy struct {
+	runtime.StaticPolicy
+	script []query.Plan
+	buf    query.Plan
+	calls  int
+}
+
+func (p *scriptedPolicy) PlanFor(float64, stats.Snapshot) query.Plan {
+	p.buf = append(p.buf[:0], p.script[p.calls%len(p.script)]...)
+	p.calls++
+	return p.buf
+}
+
+// TestSessionPlanSwitchEvents pins the session's plan-switch tracking: a
+// policy choosing A,A,B,B,A through one reused slice yields exactly two
+// EventPlanSwitch events, to B then back to A, and the leader counts the
+// same two switches.
+func TestSessionPlanSwitchEvents(t *testing.T) {
+	a, b := query.Plan{0, 1}, query.Plan{1, 0}
+	pol := &scriptedPolicy{
+		StaticPolicy: runtime.StaticPolicy{PolicyName: "SCRIPT", Assign: physical.Assignment{0, 0}},
+		script:       []query.Plan{a, a, b, b, a},
+	}
+	s, err := OpenSession(twoWay(), 1, pol, SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := range pol.script {
+		if err := s.Ingest(ctx, flatBatch("S1", 1, float64(i)*0.1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.PlanSwitches != 2 {
+		t.Fatalf("leader counted %d plan switches, want 2", st.PlanSwitches)
+	}
+	rep, err := s.Close(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pol.calls != len(pol.script) {
+		t.Fatalf("policy consulted %d times, want %d", pol.calls, len(pol.script))
+	}
+	var switches []string
+	for ev := range s.Events() {
+		if ev.Kind == runtime.EventPlanSwitch {
+			switches = append(switches, ev.Plan)
+		}
+	}
+	if want := []string{b.Key(), a.Key()}; fmt.Sprint(switches) != fmt.Sprint(want) {
+		t.Fatalf("plan-switch events %q, want %q", switches, want)
+	}
+	if rep.PlanSwitches != 2 {
+		t.Fatalf("report counted %d plan switches, want 2", rep.PlanSwitches)
 	}
 }

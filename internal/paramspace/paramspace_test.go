@@ -314,6 +314,42 @@ func TestWeightMapSlopeDominates(t *testing.T) {
 	}
 }
 
+// TestWeightMapMatchesDefinition recomputes every point's §4.2 weight from
+// fresh At points, and checks that each grid point keeps an entry of its
+// own (the flat grid index is one-to-one).
+func TestWeightMapMatchesDefinition(t *testing.T) {
+	s := New([]Dim{SelDim(0, 0.5, 3), RateDim("S", 50, 4), SelDim(2, 0.3, 5)}, 5)
+	wm := NewWeightMap(s)
+	r := s.FullRegion()
+	costLo := func(p Point) float64 { return 1 + 3*p[0] + p[1]/10 + p[0]*p[2] }
+	costHi := func(p Point) float64 { return 2 + p[0]*p[1]/20 + 7*p[2] }
+	wm.Assign(r, costLo, costHi)
+	if len(wm.w) != r.NumPoints() {
+		t.Fatalf("%d weight entries for %d points", len(wm.w), r.NumPoints())
+	}
+	slope := func(fn CostFn, g GridPoint, i int) float64 {
+		lo, hi := g.Clone(), g.Clone()
+		if g[i] < s.Steps-1 {
+			hi[i]++
+		} else {
+			lo[i]--
+		}
+		fLo, fHi := fn(s.At(lo)), fn(s.At(hi))
+		return math.Abs(fHi-fLo) / math.Max(math.Abs(fLo), 1e-12)
+	}
+	r.ForEach(func(g GridPoint) bool {
+		want := 0.0
+		for i := range g {
+			dist := math.Max(math.Abs(float64(g[i]-r.Lo[i])), 0.5)
+			want += math.Min(slope(costLo, g, i), slope(costHi, g, i)) / dist
+		}
+		if got := wm.Weight(g); got != want {
+			t.Fatalf("weight at %v = %v, want %v", g, got, want)
+		}
+		return true
+	})
+}
+
 func TestWeightMapArgMax(t *testing.T) {
 	s := twoDimSpace(8)
 	wm := NewWeightMap(s)

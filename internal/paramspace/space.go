@@ -135,12 +135,25 @@ type GridPoint []int
 type Point []float64
 
 // At converts grid coordinates to statistic values.
-func (s *Space) At(g GridPoint) Point {
-	p := make(Point, len(g))
+func (s *Space) At(g GridPoint) Point { return s.atInto(make(Point, len(g)), g) }
+
+// atInto writes the statistic values of g into p (len(p) == len(g)) and
+// returns it.
+func (s *Space) atInto(p Point, g GridPoint) Point {
 	for i, k := range g {
 		p[i] = s.Value(i, k)
 	}
 	return p
+}
+
+// index returns g's flat grid index: its coordinates read as a mixed-radix
+// number with Steps per digit, dimension 0 least significant.
+func (s *Space) index(g GridPoint) int {
+	idx := 0
+	for i := len(g) - 1; i >= 0; i-- {
+		idx = idx*s.Steps + g[i]
+	}
+	return idx
 }
 
 // Clone copies g.

@@ -24,7 +24,10 @@ type CostFn func(Point) float64
 // are commensurable.
 type WeightMap struct {
 	space *Space
-	w     map[string]float64
+	// w is keyed by the point's flat grid index (Space.index).
+	w map[int]float64
+	// pnt is slope's point scratch.
+	pnt Point
 	// Assignments counts per-point weight computations (ablation metric
 	// for the incremental re-assignment rule of §4.2).
 	Assignments int
@@ -32,7 +35,7 @@ type WeightMap struct {
 
 // NewWeightMap returns an empty weight map over s.
 func NewWeightMap(s *Space) *WeightMap {
-	return &WeightMap{space: s, w: make(map[string]float64)}
+	return &WeightMap{space: s, w: make(map[int]float64), pnt: make(Point, s.D())}
 }
 
 // slope returns the normalized cost slope of fn along dimension i at grid
@@ -43,19 +46,16 @@ func (wm *WeightMap) slope(fn CostFn, g GridPoint, i int) float64 {
 	if s.Steps < 2 {
 		return 0
 	}
-	gg := g.Clone()
-	var lo, hi GridPoint
-	if g[i] < s.Steps-1 {
-		lo = gg
-		hi = gg.Clone()
-		hi[i]++
-	} else {
-		hi = gg
-		lo = gg.Clone()
-		lo[i]--
+	kLo, kHi := g[i], g[i]+1
+	if g[i] >= s.Steps-1 {
+		kLo, kHi = g[i]-1, g[i]
 	}
-	fLo := fn(s.At(lo))
-	fHi := fn(s.At(hi))
+	// lo and hi differ only along dimension i.
+	pnt := s.atInto(wm.pnt, g)
+	pnt[i] = s.Value(i, kLo)
+	fLo := fn(pnt)
+	pnt[i] = s.Value(i, kHi)
+	fHi := fn(pnt)
 	base := math.Max(math.Abs(fLo), 1e-12)
 	// Relative cost change per grid step: dimensionless, so selectivity
 	// and rate axes contribute on the same scale.
@@ -83,14 +83,14 @@ func (wm *WeightMap) weightAt(g GridPoint, r Region, costLo, costHi CostFn) floa
 // rule (skip when corner plans are unchanged) before invoking it.
 func (wm *WeightMap) Assign(r Region, costLo, costHi CostFn) {
 	r.ForEach(func(g GridPoint) bool {
-		wm.w[g.Key()] = wm.weightAt(g, r, costLo, costHi)
+		wm.w[wm.space.index(g)] = wm.weightAt(g, r, costLo, costHi)
 		wm.Assignments++
 		return true
 	})
 }
 
 // Weight returns the assigned weight of g (0 if unassigned).
-func (wm *WeightMap) Weight(g GridPoint) float64 { return wm.w[g.Key()] }
+func (wm *WeightMap) Weight(g GridPoint) float64 { return wm.w[wm.space.index(g)] }
 
 // ArgMax returns the highest-weight grid point in region r, excluding the
 // region's bottom-left corner (partitioning at Lo would not split the
@@ -107,7 +107,7 @@ func (wm *WeightMap) ArgMax(r Region) (best GridPoint, ok bool) {
 		if g.Equal(r.Lo) {
 			return true
 		}
-		w := wm.w[g.Key()]
+		w := wm.w[wm.space.index(g)]
 		d := g.Dist(center)
 		if w > bestW || (w == bestW && d < bestDist) {
 			bestW, bestDist = w, d

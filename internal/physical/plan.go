@@ -12,6 +12,7 @@ import (
 
 	"rld/internal/cluster"
 	"rld/internal/cost"
+	"rld/internal/paramspace"
 	"rld/internal/query"
 	"rld/internal/robust"
 )
@@ -30,6 +31,10 @@ type LogicalPlan struct {
 	Area int
 	// Loads[op] is the worst-case load of operator op under this plan.
 	Loads []float64
+	// Regions are the plan's certified robust regions (an extra's unit
+	// discovery cell), shared with the robust solution: the online
+	// classifier tests grid points against them directly.
+	Regions []paramspace.Region
 }
 
 // FromRobust converts a robust logical solution into planner inputs,
@@ -39,10 +44,11 @@ func FromRobust(res *robust.Result, ev *cost.Evaluator) []LogicalPlan {
 	nOps := len(ev.Query().Ops)
 	for _, rp := range res.AllPlans() {
 		lp := LogicalPlan{
-			Plan:   rp.Plan.Clone(),
-			Weight: rp.Weight,
-			Area:   rp.Area(),
-			Loads:  make([]float64, nOps),
+			Plan:    rp.Plan.Clone(),
+			Weight:  rp.Weight,
+			Area:    rp.Area(),
+			Loads:   make([]float64, nOps),
+			Regions: rp.Regions,
 		}
 		for _, reg := range rp.Regions {
 			loads := ev.OpLoads(rp.Plan, res.Space.At(reg.Hi))

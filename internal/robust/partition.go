@@ -18,6 +18,13 @@ type task struct {
 	weightsInherited bool
 }
 
+// discovery is a distinct optimal plan and the grid point where an
+// optimizer call first returned it.
+type discovery struct {
+	plan query.Plan
+	g    paramspace.GridPoint
+}
+
 // partitioner drives the weight-driven robust partitioning shared by WRP
 // (Algorithm 2) and ERP (Algorithm 3).
 type partitioner struct {
@@ -27,10 +34,10 @@ type partitioner struct {
 	cfg   Config
 	wm    *paramspace.WeightMap
 	res   *Result
-	// seen tracks distinct plan keys discovered by optimizer calls, with
-	// the grid point of first discovery (Algorithm 3 line 10 adds every
-	// distinct discovered plan to LPi).
-	seen map[string]paramspace.GridPoint
+	// seen lists the distinct plans discovered by optimizer calls, in
+	// discovery order, with the grid point of first discovery (Algorithm 3
+	// line 10 adds every distinct discovered plan to LPi).
+	seen []discovery
 	// misses is the aging counter of Algorithm 3.
 	misses int
 	// early enables Theorem 1's termination (ERP); false for WRP.
@@ -73,7 +80,6 @@ func newPartitioner(opt *optimizer.Counter, ev *cost.Evaluator, cfg Config, earl
 		cfg:      cfg,
 		wm:       paramspace.NewWeightMap(space),
 		res:      &Result{Space: space},
-		seen:     make(map[string]paramspace.GridPoint),
 		early:    early,
 		midpoint: midpoint,
 	}
@@ -90,32 +96,39 @@ func (p *partitioner) corner(g paramspace.GridPoint) (query.Plan, float64, bool)
 	if !ok {
 		return nil, 0, false
 	}
-	if _, known := p.seen[plan.Key()]; known {
+	if p.known(plan) {
 		p.misses++
 	} else {
-		p.seen[plan.Key()] = g.Clone()
+		p.seen = append(p.seen, discovery{plan: plan.Clone(), g: g.Clone()})
 		p.misses = 0
 	}
 	return plan, c, true
+}
+
+// known reports whether an earlier optimizer call already returned plan.
+func (p *partitioner) known(plan query.Plan) bool {
+	for _, s := range p.seen {
+		if s.plan.Equal(plan) {
+			return true
+		}
+	}
+	return false
 }
 
 // finish adds any plan discovered by an optimizer call but never used to
 // certify a region (Algorithm 3 line 10: every distinct optimal plan found
 // joins LPi). Such plans become Extras carrying the unit region of their
 // discovery point, so the physical planner can still budget their loads and
-// the classifier's cost fallback can reach them.
+// the classifier's cost fallback can reach them. Extras keep discovery
+// order, so the solution depends only on the input.
 func (p *partitioner) finish() {
-	for k, g := range p.seen {
-		if p.res.PlanByKey(k) != nil {
-			continue
-		}
-		plan, _, ok := p.opt.Best(p.space.At(g)) // memoized: no extra call
-		if !ok || plan.Key() != k {
+	for _, s := range p.seen {
+		if p.res.planOf(s.plan) != nil {
 			continue
 		}
 		p.res.Extras = append(p.res.Extras, &RobustPlan{
-			Plan:    plan.Clone(),
-			Regions: []paramspace.Region{{Lo: g.Clone(), Hi: g.Clone()}},
+			Plan:    s.plan,
+			Regions: []paramspace.Region{{Lo: s.g, Hi: s.g.Clone()}},
 		})
 	}
 }

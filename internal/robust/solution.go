@@ -131,13 +131,22 @@ func (r *Result) Lookup(g paramspace.GridPoint) *RobustPlan {
 // PlanByKey returns the robust plan (certified or extra) with the given
 // plan key, or nil.
 func (r *Result) PlanByKey(k string) *RobustPlan {
+	return r.find(func(p query.Plan) bool { return p.Key() == k })
+}
+
+// planOf returns the robust plan (certified or extra) equal to p, or nil.
+func (r *Result) planOf(p query.Plan) *RobustPlan { return r.find(p.Equal) }
+
+// find returns the first robust plan (certified, then extra) whose plan
+// satisfies match, or nil.
+func (r *Result) find(match func(query.Plan) bool) *RobustPlan {
 	for _, rp := range r.Plans {
-		if rp.Plan.Key() == k {
+		if match(rp.Plan) {
 			return rp
 		}
 	}
 	for _, rp := range r.Extras {
-		if rp.Plan.Key() == k {
+		if match(rp.Plan) {
 			return rp
 		}
 	}
@@ -173,9 +182,8 @@ func (r *Result) String() string {
 
 // add merges a certified (plan, region) pair into the result.
 func (r *Result) add(p query.Plan, reg paramspace.Region) *RobustPlan {
-	k := p.Key()
 	for _, rp := range r.Plans {
-		if rp.Plan.Key() == k {
+		if rp.Plan.Equal(p) {
 			rp.Regions = append(rp.Regions, reg)
 			return rp
 		}
